@@ -8,7 +8,7 @@ eta quotients, Eisenstein expansions), each checked against independent
 brute-force oracles in the test suite.
 """
 
-from .qseries import QSeries, euler_product
+from .qseries import QSeries, eta_power, euler_product
 from .radicals import QuarterRadical, rational_str
 from .characters import (
     CharacterContext,

@@ -87,7 +87,8 @@ def eisenstein_sign(d: int, level: int) -> int:
         * kronecker(8, d)
         * kronecker(-4, d) ** ((level - 1) // 2)
     )
-    assert value == alt, f"sign formulas disagree at d={d}, N={level}"
+    if value != alt:
+        raise ArithmeticError(f"sign formulas disagree at d={d}, N={level}")
     return int(value)
 
 
@@ -159,9 +160,6 @@ class CharacterContext:
     level: int
     divisors: tuple
     prime_factors: tuple
-
-    def chi_level(self, b: int) -> int:
-        return chi(self.level, b)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from math import gcd
 
 from .arith import divisors, validate_level
 from .characters import kronecker
-from .qseries import QSeries, euler_coefficients, euler_product, _alloc_trunc
+from .qseries import QSeries, eta_power
 from .radicals import QuarterRadical
 
 
@@ -49,8 +49,8 @@ def eta_quotient_series(level: int, d: int, n_max: int) -> QSeries:
         return QSeries.zero(n_max)
     rest = n_max - prefix
     m = level // d
-    numerator = euler_product(rest // m).pow(level).rescale(m)
-    denominator_inv = euler_product(rest // d).inverse().rescale(d)
+    numerator = eta_power(level, rest // m).rescale(m)
+    denominator_inv = eta_power(-1, rest // d).rescale(d)
     series = (numerator * denominator_inv).crop(rest)
     return series.shift(prefix)
 
@@ -84,18 +84,14 @@ _partition_table = [1]
 
 
 def partition_numbers(n_max: int) -> list:
-    """P(0..n_max) by inverting the Euler product (cached, grow-only)."""
+    """P(0..n_max), the coefficients of 1/(q;q) (grow-only table).
+
+    The table at least doubles each time it grows, so a run of increasing
+    lookups recomputes it only O(log n) times.
+    """
     if n_max >= len(_partition_table):
-        alloc = _alloc_trunc(n_max)
-        e = euler_coefficients(alloc)
-        nonzero = [(j, e[j]) for j in range(1, alloc + 1) if e[j]]
-        for n in range(len(_partition_table), alloc + 1):
-            acc = 0
-            for j, ej in nonzero:
-                if j > n:
-                    break
-                acc -= ej * _partition_table[n - j]
-            _partition_table.append(acc)
+        size = max(n_max, 2 * len(_partition_table))
+        _partition_table[:] = eta_power(-1, size).coeffs
     return _partition_table[: n_max + 1]
 
 
@@ -107,7 +103,9 @@ def partition_count(x) -> int:
         x = int(x)
     if x < 0:
         return 0
-    return partition_numbers(x)[x]
+    if x >= len(_partition_table):
+        partition_numbers(x)
+    return _partition_table[x]
 
 
 def scaled_partition_term(level: int, d: int, n: int) -> int:
@@ -128,6 +126,4 @@ def multi_partition_series(r: int, n_max: int) -> QSeries:
     """1/(q;q)^r: coefficients count r-colored partitions."""
     if r < 0:
         raise ValueError("negative color count")
-    if r == 0:
-        return QSeries.one(n_max)
-    return euler_product(n_max).inverse().pow(r)
+    return eta_power(-r, n_max)

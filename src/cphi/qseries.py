@@ -276,38 +276,24 @@ class QSeries:
         return cls(d["valuation"], coeffs, d["trunc"])
 
 
-# -- the Euler product and friends ------------------------------------------
-
-_euler_cache: dict[int, tuple] = {}
-
-
-def _alloc_trunc(trunc: int) -> int:
-    """Bucket large truncations to powers of two so one expansion is reused."""
-    if trunc <= 256:
-        return trunc
-    return 1 << (trunc - 1).bit_length()
+# -- the Euler product and its powers ---------------------------------------
 
 
 def euler_coefficients(trunc: int) -> tuple:
-    """Coefficients 0..trunc of prod_{n=1}^{trunc} (1 - q**n).
+    """Coefficients 0..trunc of (q;q)_infinity = prod_{n>=1} (1 - q**n).
 
-    Factors beyond trunc cannot change the retained coefficients, so this is
-    the exact expansion of (q;q)_infinity through q**trunc.
+    Euler's pentagonal number theorem: the coefficient of q**j is (-1)**m at
+    the generalized pentagonal numbers j = m(3m -+ 1)/2 and 0 elsewhere.
     """
-    for t in sorted(_euler_cache):
-        if t >= trunc:
-            return _euler_cache[t][: trunc + 1]
-    alloc = _alloc_trunc(trunc)
-    c = [0] * (alloc + 1)
+    c = [0] * (trunc + 1)
     c[0] = 1
-    for n in range(1, alloc + 1):
-        for k in range(alloc, n - 1, -1):
-            d = c[k - n]
-            if d:
-                c[k] -= d
-    out = tuple(c)
-    _euler_cache[alloc] = out
-    return out[: trunc + 1]
+    m = 1
+    while m * (3 * m - 1) // 2 <= trunc:
+        for j in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            if j <= trunc:
+                c[j] = -1 if m & 1 else 1
+        m += 1
+    return tuple(c)
 
 
 def euler_product(trunc: int) -> QSeries:
@@ -315,3 +301,24 @@ def euler_product(trunc: int) -> QSeries:
     if trunc < 0:
         raise ValueError("negative truncation")
     return QSeries(0, list(euler_coefficients(trunc)), trunc)
+
+
+def eta_power(k: int, trunc: int) -> QSeries:
+    """(q;q)_infinity**k exact through q**trunc, for any integer k.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7): for b = a**k
+    with a_0 = 1, n b_n = sum_{j>=1} ((k + 1) j - n) a_j b_{n-j}.  The Euler
+    product a is +-1 at the O(sqrt n) pentagonal numbers and 0 elsewhere, and
+    b has integer coefficients, so the division by n is exact.
+    """
+    a = euler_product(trunc).coeffs
+    terms = [(j, (k + 1) * j * aj, aj) for j, aj in enumerate(a) if j and aj]
+    b = [1]
+    for n in range(1, trunc + 1):
+        acc = 0
+        for j, kj, aj in terms:
+            if j > n:
+                break
+            acc += (kj - aj * n) * b[n - j]
+        b.append(acc // n)
+    return QSeries(0, b, trunc)

@@ -140,13 +140,6 @@ class QuarterRadical:
         body = "*".join(p for p in parts if p != "-")
         return ("-" + body) if parts and parts[0] == "-" else body
 
-    def as_dict(self) -> dict:
-        return {
-            "coeff": rational_str(self.coeff),
-            "i_exp": self.i_exp,
-            "radicand": str(self.radicand),
-        }
-
 
 def rational_str(x) -> str:
     """Lossless decimal-string form: plain integer, or 'num/den'."""

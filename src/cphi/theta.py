@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import validate_level
-from .qseries import QSeries, euler_product
+from .qseries import QSeries, eta_power
 from .radicals import QuarterRadical
 
 
@@ -72,7 +72,7 @@ def cphi_series(level: int, n_max: int) -> QSeries:
     cphi_N has generating function f_{theta_{N-1}} / (q;q)_infinity^N; the
     coefficients must come out as nonnegative integers.
     """
-    series = theta_series(level, n_max) * euler_product(n_max).inverse().pow(level)
+    series = theta_series(level, n_max) * eta_power(-level, n_max)
     for n, c in enumerate(series.coefficients()):
         if not isinstance(c, int) or c < 0:
             raise ArithmeticError(f"cphi_{level}({n}) = {c} is not a nonnegative integer")

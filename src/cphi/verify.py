@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import prime_factors, validate_level
-from .eta_partition import main_term, multi_partition_series
-from .qseries import QSeries, euler_product
+from .eta_partition import main_term, partition_numbers
+from .qseries import QSeries, eta_power, euler_product
 from .radicals import rational_str
 from .theta import cphi_series, theta_series
 
@@ -50,13 +50,16 @@ def sturm_bound(level: int) -> int:
 def main_term_series(level: int, n_max: int) -> QSeries:
     """Partition side of the main identity as a series."""
     validate_level(level)
+    # every partition argument below is under N * n_max (d = 1): size the
+    # table once instead of letting it double its way up
+    partition_numbers(level * n_max)
     return QSeries(0, [main_term(level, n) for n in range(n_max + 1)], n_max)
 
 
 @lru_cache(maxsize=None)
 def residual_series(level: int, n_max: int) -> QSeries:
     """C = f_theta - (q;q)^N * (partition side), exact through q**n_max."""
-    product = euler_product(n_max).pow(level) * main_term_series(level, n_max)
+    product = eta_power(level, n_max) * main_term_series(level, n_max)
     return theta_series(level, n_max) - product.crop(n_max)
 
 
@@ -64,7 +67,7 @@ def residual_series(level: int, n_max: int) -> QSeries:
 def correction_series(level: int, n_max: int) -> QSeries:
     """b(n) series: the residual divided by (q;q)^N."""
     residual = residual_series(level, n_max)
-    return (residual * euler_product(n_max).pow(level).inverse()).crop(n_max)
+    return (residual * eta_power(-level, n_max)).crop(n_max)
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +76,7 @@ def eta13_series(n_max: int) -> QSeries:
     if n_max < 1:
         return QSeries.zero(n_max)
     rest = n_max - 1
-    series = euler_product(rest // 13).rescale(13) * multi_partition_series(2, rest)
+    series = euler_product(rest // 13).rescale(13) * eta_power(-2, rest)
     return series.crop(rest).shift(1)
 
 

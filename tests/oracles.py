@@ -29,6 +29,19 @@ def partitions_brute(n: int) -> int:
     return count(n, n)
 
 
+def euler_coefficients_product(trunc: int) -> list:
+    """Coefficients 0..trunc of prod_{n=1}^{trunc} (1 - q**n), multiplied out.
+
+    Factors beyond trunc cannot change the retained coefficients, so this is
+    (q;q)_infinity through q**trunc without the pentagonal number theorem.
+    """
+    c = [1] + [0] * trunc
+    for n in range(1, trunc + 1):
+        for k in range(trunc, n - 1, -1):
+            c[k] -= c[k - n]
+    return c
+
+
 def kronecker_factored(a: int, b: int) -> int:
     """Kronecker symbol via factorization of b and Euler's criterion.
 

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from cphi import characters
 from cphi.arith import divisors
 from cphi.characters import (
     bernoulli_chi,
@@ -110,6 +111,16 @@ def test_eisenstein_sign_formulas_agree():
 
 def test_eisenstein_sign_spec_value():
     assert eisenstein_sign(5, 5) == 1
+
+
+def test_eisenstein_sign_raises_when_formulas_disagree(monkeypatch):
+    real = characters.kronecker
+    # flipping kronecker(-8, N) flips the Kronecker-symbol route only
+    monkeypatch.setattr(
+        characters, "kronecker", lambda a, b: -real(a, b) if a == -8 else real(a, b)
+    )
+    with pytest.raises(ArithmeticError, match="disagree at d=5, N=5"):
+        eisenstein_sign(5, 5)
 
 
 def test_gauss_w():

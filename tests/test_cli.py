@@ -1,4 +1,8 @@
+import hashlib
 import json
+import shlex
+
+import pytest
 
 from cphi.cli import main
 
@@ -176,3 +180,28 @@ def test_byte_identical_output(capsys):
     third = run_cli(capsys, "ratios", "--N", "13", "--nmax", "20", "--format", "csv")
     fourth = run_cli(capsys, "ratios", "--N", "13", "--nmax", "20", "--format", "csv")
     assert third == fourth
+
+
+# sha256 of stdout and the exit code of each example in README's "CLI"
+# section: the output contract is byte-identical stdout, so a refactor must
+# reproduce these exactly
+README_EXAMPLES = [
+    ("verify --N 5 --nmax 200", 0, "6d4701ccd2d2915f6c865aa1c5013d078542518d7eb49d0e39b1365d6ac5b3e0"),
+    ("verify --N 13 --nmax 200 --format json", 0, "ead50541926400008b1ac2cdb4e1756baeb5d851d33016655664fdc745280e45"),
+    ("expand --series cphi --N 1 --nmax 10", 0, "bef657488167ea0cbbab03656621e4231e44e53e12cd8fca9ea783752c36aecd"),
+    ("expand --series eta --N 5 --d 1 --nmax 20", 0, "8dd8de422dbfdadd419902888d0629e470dfd4990123ec412a207dd4741ce185"),
+    ("expand --series vr --r 13 --nmax 40", 0, "7cad7159e10bfc32895e2a60c4c1990a455173709e3a6170347d8e706bb1baf9"),
+    ("gauss --dim 4 --a 1 --c 5", 0, "ddbf111e28232f76cab575bf43498e2808e287629bb77a02d54668dbcded1deb"),
+    ("bernoulli --k 2 --N 5", 0, "4817e0a234e0e462e31986ee3d8a6976ef70d0808e723d71954167f7b19c5195"),
+    ("ratios --N 13 --nmax 200", 0, "55245b1b1303155c924c100eb324ebc14ce33dea55cd948370e79c8ad7099823"),
+    ("table --which b1", 0, "83193eadfd68e70ecfb46740c8d6dc69c0a46cccfba67ea26fb638d5aac78a45"),
+    ("table --which kolitsch --nmax 200", 0, "eeb4b563064329a7f5ba37db254c6cae6c303c8cb2400b56a42e4e98745bd60e"),
+    ("table --which cusp-constants --N 35", 0, "75fba4b735004f324c925ea437b47a412f8119d67f437286d1410f834cec7c4f"),
+]
+
+
+@pytest.mark.parametrize("line,exit_code,digest", README_EXAMPLES)
+def test_readme_examples_byte_identical(capsys, line, exit_code, digest):
+    code, out, _ = run_cli(capsys, *shlex.split(line))
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cphi.qseries import QSeries, euler_coefficients, euler_product
-from oracles import partitions_brute
+from cphi.qseries import QSeries, eta_power, euler_coefficients, euler_product
+from oracles import euler_coefficients_product, partitions_brute
 
 
 def random_series(rng, trunc, rational=False):
@@ -50,6 +50,22 @@ def test_euler_pentagonal_scan():
     assert {n for n, c in enumerate(coeffs) if c} == {
         n for n in pentagonal if n <= 2000
     }
+    assert list(coeffs) == euler_coefficients_product(2000)
+
+
+@pytest.mark.parametrize("k", [-35, -13, -5, -2, -1, 0, 1, 2, 5, 13, 35])
+def test_eta_power_matches_pow_and_inverse(k):
+    for n in (0, 1, 2, 24, 97, 300):
+        base = QSeries(0, euler_coefficients_product(n), n)
+        expected = base.pow(k) if k >= 0 else base.inverse().pow(-k)
+        got = eta_power(k, n)
+        assert got == expected
+        assert all(type(c) is int for c in got.coeffs)
+
+
+def test_eta_power_rejects_negative_truncation():
+    with pytest.raises(ValueError):
+        eta_power(3, -1)
 
 
 def test_inverse_gives_partition_numbers():
