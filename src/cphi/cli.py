@@ -1,9 +1,9 @@
 """Command-line front end: expansions, Gauss sums, Bernoulli numbers, reports.
 
-Exit codes: 0 success / all checks pass, 1 a verification check failed,
-2 usage or validation error.  All rationals are printed losslessly as
-decimal strings ('26' or '4/5'); identical invocations produce identical
-output.
+Exit codes: 0 success / all checks pass, 1 a verification check failed or
+a computation broke an invariant (ArithmeticError, RuntimeError), 2 usage
+or validation error.  All rationals are printed losslessly as decimal
+strings ('26' or '4/5'); identical invocations produce identical output.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .verify import (
     main_term_series,
     residual_series,
     run_verification,
+    sturm_bound,
 )
 
 EXIT_OK = 0
@@ -244,6 +245,11 @@ def _cmd_table(args) -> int:
             residual = residual_series(level, n_max)
             vanishes = residual.is_zero()
             ok &= vanishes
+            bound = sturm_bound(level)
+            if n_max < bound:  # then a zero residual proves nothing
+                ok = False
+                print(f"N={level}: nmax={n_max} is below sturm_bound({level}) = {bound}",
+                      file=sys.stderr)
             rows.append(
                 {"N": level, "nMax": n_max, "residual_zero": vanishes}
             )
@@ -340,12 +346,12 @@ def main(argv=None) -> int:
         if args.command == "expand" and args.series != "vr" and args.N is None:
             raise UsageError("expand requires --N for this series")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CHECK_FAILED
 
 
 def entry() -> None:

@@ -47,9 +47,6 @@ class GaussSumQuery:
         if gcd(self.a, self.modulus) != 1:
             raise ValueError(f"gcd({self.a}, {self.modulus}) != 1")
 
-    def evaluate_numeric(self) -> complex:
-        return gauss_sum_numeric(self.dim, self.a, self.modulus)
-
 
 @lru_cache(maxsize=None)
 def _theta_residue_counts(dim: int, modulus: int) -> tuple:

@@ -82,12 +82,6 @@ class QSeries:
         return cls.constant(1, trunc)
 
     @classmethod
-    def monomial(cls, c, power: int, trunc: int) -> "QSeries":
-        if power > trunc:
-            return cls.zero(trunc)
-        return cls(power, [c] + [0] * (trunc - power), trunc)
-
-    @classmethod
     def from_coefficients(cls, seq, trunc: int | None = None, valuation: int = 0):
         seq = list(seq)
         if trunc is None:

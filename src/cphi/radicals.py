@@ -118,10 +118,6 @@ class QuarterRadical:
             return (mag, 0.0)
         return (0.0, mag)
 
-    def approx_complex(self) -> complex:
-        re, im = self.approx()
-        return complex(re, im)
-
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:

@@ -1,4 +1,4 @@
-"""Independent brute-force oracles used only by the test suite.
+"""Independent brute-force oracles and helpers used only by the test suite.
 
 Each oracle computes the same quantity as a library routine through a
 different route (literal enumeration, factorization, classical closed
@@ -11,6 +11,29 @@ import cmath
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt, pi
+
+from cphi.arith import validate_level
+from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
+from cphi.qseries import QSeries
+from cphi.radicals import QuarterRadical
+
+
+def approx_complex(value: QuarterRadical) -> complex:
+    """Floating complex value of an exact radical."""
+    re, im = value.approx()
+    return complex(re, im)
+
+
+def evaluate_numeric(query: GaussSumQuery) -> complex:
+    """The Gauss sum G_dim(a, modulus) of a query, by the numeric oracle."""
+    return gauss_sum_numeric(query.dim, query.a, query.modulus)
+
+
+def monomial(c, power: int, trunc: int) -> QSeries:
+    """c * q**power known through q**trunc."""
+    if power > trunc:
+        return QSeries.zero(trunc)
+    return QSeries(power, [c] + [0] * (trunc - power), trunc)
 
 
 def partitions_brute(n: int) -> int:
@@ -104,6 +127,56 @@ def theta_counts_dfs(dim: int, n_max: int) -> list:
 
     rec(dim, 0, 0)
     return counts
+
+
+def theta_series_lane_dp(level: int, n_max: int) -> QSeries:
+    """theta_series by the lane DP it replaced, kept as a differential oracle.
+
+    The DP runs over x in Z^(N-1) on the state (s, ss) = (sum, sum of
+    squares), 2*theta = s^2 + ss, with no symmetry, no feasibility bound
+    beyond |s| <= (coordinates left) * v_cap and a per-lane decode.
+    """
+    validate_level(level)
+    if n_max < 0:
+        raise ValueError("negative truncation")
+    dim = level - 1
+    if dim == 0:
+        return QSeries.one(n_max)
+    v_cap = isqrt(2 * n_max)
+    width = 2 * v_cap + 1
+    lanes = 2 * n_max + 1
+    # lane width: final counts are below width**dim; pad and round to bytes
+    lane_bits = ((dim * width.bit_length() + 8 + 7) // 8) * 8
+    full_mask = (1 << (lane_bits * lanes)) - 1
+    shifts = [(v, lane_bits * v * v) for v in range(-v_cap, v_cap + 1)]
+    state = {0: 1}
+    for layer in range(dim):
+        s_cap = (dim - layer) * v_cap  # beyond this |s| cannot return to v_cap
+        nxt: dict = {}
+        for s, packed in state.items():
+            for v, shift in shifts:
+                ns = s + v
+                if ns > s_cap or ns < -s_cap:
+                    continue
+                contrib = (packed << shift) & full_mask
+                if contrib:
+                    if ns in nxt:
+                        nxt[ns] += contrib
+                    else:
+                        nxt[ns] = contrib
+        state = nxt
+    coeffs = [0] * (n_max + 1)
+    nbytes = lane_bits // 8
+    for s, packed in state.items():
+        s2 = s * s
+        if s2 > 2 * n_max:
+            continue
+        data = packed.to_bytes(nbytes * lanes, "little")
+        for ss in range(2 * n_max - s2 + 1):
+            lane = int.from_bytes(data[ss * nbytes : (ss + 1) * nbytes], "little")
+            if lane:
+                coeffs[(s2 + ss) // 2] += lane
+    return QSeries(0, coeffs, n_max)
 
 
 def gauss_naive(dim: int, a: int, c: int) -> complex:

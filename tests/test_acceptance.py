@@ -38,7 +38,7 @@ from cphi.verify import (
     eta13_series,
     residual_series,
 )
-from oracles import multi_partition_sigma_route
+from oracles import evaluate_numeric, multi_partition_sigma_route
 
 
 def _report(number: str, ok: bool, detail: str) -> None:
@@ -136,7 +136,7 @@ def test_criterion_06_lemma_suite():
                 for dim in (1, 2, 3):
                     whole = gauss_sum_numeric(dim, gamma, alpha * beta)
                     qa, qb = coprime_split(dim, gamma, alpha, beta)
-                    split = qa.evaluate_numeric() * qb.evaluate_numeric()
+                    split = evaluate_numeric(qa) * evaluate_numeric(qb)
                     if abs(whole - split) > 1e-6 * max(abs(whole), 1.0):
                         ok = False
                     triples += 1

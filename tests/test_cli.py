@@ -4,6 +4,7 @@ import shlex
 
 import pytest
 
+from cphi import cli
 from cphi.cli import main
 
 
@@ -205,3 +206,29 @@ def test_readme_examples_byte_identical(capsys, line, exit_code, digest):
     code, out, _ = run_cli(capsys, *shlex.split(line))
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("nmax,exit_code", [("0", 1), ("5", 0)])
+def test_table_kolitsch_requires_sturm_bound(capsys, nmax, exit_code):
+    # sturm_bound is 1, 2 and 5 for N = 5, 7 and 11
+    code, out, err = run_cli(capsys, "table", "--which", "kolitsch", "--nmax", nmax)
+    assert code == exit_code
+    assert len(out.strip().split("\n")) == 3
+    if exit_code:
+        assert "sturm_bound(5) = 1" in err
+        assert "sturm_bound(11) = 5" in err
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("cphi_5(3) = -1"), RuntimeError("duplicate check")])
+def test_invariant_errors_exit_check_failed(capsys, monkeypatch, exc):
+    def broken(level, n_max):
+        raise exc
+
+    monkeypatch.setattr(cli, "cphi_series", broken)
+    code, out, err = run_cli(capsys, "expand", "--series", "cphi", "--N", "5", "--nmax", "3")
+    assert code == 1
+    assert out == ""
+    assert f"error: {exc}" in err
+    assert "Traceback" not in err

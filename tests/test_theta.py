@@ -7,7 +7,7 @@ from cphi.eta_partition import partition_count
 from cphi.gauss_sums import gauss_sum_closed
 from cphi.radicals import QuarterRadical
 from cphi.theta import cphi_series, theta_cusp_constant, theta_series
-from oracles import theta_counts_dfs
+from oracles import theta_counts_dfs, theta_series_lane_dp
 
 
 def test_theta_series_small_values():
@@ -22,10 +22,28 @@ def test_theta_first_coefficient_is_n_squared_minus_n():
 
 
 def test_theta_dp_matches_dfs_enumeration():
-    for level in (5, 7):
-        dp = theta_series(level, 30).coefficients()
-        dfs = theta_counts_dfs(level - 1, 30)
+    for level, n_max in ((5, 30), (7, 30), (11, 6), (13, 4)):
+        dp = theta_series(level, n_max).coefficients()
+        dfs = theta_counts_dfs(level - 1, n_max)
         assert dp == dfs, level
+
+
+@pytest.mark.parametrize(
+    "level,n_max",
+    [(1, 200), (5, 200), (7, 200), (11, 200), (13, 200), (17, 160), (19, 140),
+     (23, 120), (29, 100), (31, 80), (35, 60), (13, 400)],
+)
+def test_theta_matches_lane_dp(level, n_max):
+    new = theta_series(level, n_max).coefficients()
+    old = theta_series_lane_dp(level, n_max).coefficients()
+    assert len(new) == len(old) == n_max + 1
+    for n, (a, b) in enumerate(zip(new, old)):
+        assert a == b, (level, n)
+
+
+def test_theta_rejects_negative_truncation():
+    with pytest.raises(ValueError):
+        theta_series(5, -1)
 
 
 def test_theta_coefficients_nonnegative_with_unit_constant():
