@@ -84,14 +84,9 @@ _partition_table = [1]
 
 
 def partition_numbers(n_max: int) -> list:
-    """P(0..n_max), the coefficients of 1/(q;q) (grow-only table).
-
-    The table at least doubles each time it grows, so a run of increasing
-    lookups recomputes it only O(log n) times.
-    """
+    """P(0..n_max), the coefficients of 1/(q;q) (grow-only table, grown to n_max)."""
     if n_max >= len(_partition_table):
-        size = max(n_max, 2 * len(_partition_table))
-        _partition_table[:] = eta_power(-1, size).coeffs
+        _partition_table[:] = eta_power(-1, n_max).coeffs
     return _partition_table[: n_max + 1]
 
 
@@ -104,7 +99,8 @@ def partition_count(x) -> int:
     if x < 0:
         return 0
     if x >= len(_partition_table):
-        partition_numbers(x)
+        # at least double, so a run of increasing lookups rebuilds O(log x) times
+        partition_numbers(max(x, 2 * len(_partition_table)))
     return _partition_table[x]
 
 

@@ -5,11 +5,17 @@ claim beyond trunc.  Every operation propagates the guaranteed range
 pessimistically: a returned coefficient is either exact or absent, never
 approximate.  Coefficients are Python ints where integral and Fraction
 otherwise; the two mix transparently.
+
+Every product of two series is one Kronecker substitution: both coefficient
+lists are evaluated at 2**L, the two integers are multiplied once, and the
+coefficients are read back as L-bit lanes.  L is wide enough that no lane of
+the product can overflow (see _convolve), so the result is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def _as_exact(x):
@@ -20,22 +26,40 @@ def _as_exact(x):
     raise TypeError(f"coefficient must be int or Fraction, got {type(x).__name__}")
 
 
-def _convolve(a: list, b: list, out_len: int) -> list:
-    """Schoolbook product of coefficient lists, truncated to out_len entries."""
-    out = [0] * out_len
-    # run the sparser operand on the outside
-    if sum(1 for x in a if x) > sum(1 for x in b if x):
-        a, b = b, a
-    lb = len(b)
-    for i, ai in enumerate(a):
-        if not ai or i >= out_len:
-            continue
-        jmax = min(lb, out_len - i)
-        for j in range(jmax):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def _pack(xs: list, nbytes: int) -> int:
+    """sum_i xs[i] * 2**(8 nbytes i) for ints with |xs[i]| < 2**(8 nbytes)."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(nbytes, "little") for x in xs)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(nbytes, "little") for x in xs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _convolve(a, b, out_len: int) -> list:
+    """Product of coefficient lists, truncated to out_len entries.
+
+    Kronecker substitution: a(2**L) * b(2**L) is one big-integer multiply,
+    and coefficient i is lane i of the product, with lane width L - 1 >=
+    bits(max|a|) + bits(max|b|) + bits(min(len a, len b)).  Fraction operands
+    are first scaled to integers by the lcm of their denominators.
+    """
+    a, b = a[:out_len], b[:out_len]
+    da = lcm(*(x.denominator for x in a))
+    db = lcm(*(x.denominator for x in b))
+    a = [x.numerator * (da // x.denominator) for x in a]
+    b = [x.numerator * (db // x.denominator) for x in b]
+    # With m = min(len a, len b), |c_i| <= m max|a| max|b| < 2**bits, so a lane
+    # of L >= bits + 1 bits holds c_i + 2**(L-1) in [0, 2**L): with that bias
+    # in every lane no lane borrows from the next.  Lanes at or past out_len
+    # are multiples of 2**(L out_len) and vanish under the mask.
+    bits = (max(map(abs, a), default=0).bit_length()
+            + max(map(abs, b), default=0).bit_length() + min(len(a), len(b)).bit_length())
+    nbytes = bits // 8 + 1
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * out_len, "little")
+    total = (_pack(a, nbytes) * _pack(b, nbytes) + bias) & ((1 << 8 * nbytes * out_len) - 1)
+    data = total.to_bytes(nbytes * out_len, "little")
+    out = [int.from_bytes(data[i : i + nbytes], "little") - half
+           for i in range(0, len(data), nbytes)]
+    return out if da * db == 1 else [Fraction(c, da * db) for c in out]
 
 
 class QSeries:
@@ -80,16 +104,6 @@ class QSeries:
     @classmethod
     def one(cls, trunc: int) -> "QSeries":
         return cls.constant(1, trunc)
-
-    @classmethod
-    def from_coefficients(cls, seq, trunc: int | None = None, valuation: int = 0):
-        seq = list(seq)
-        if trunc is None:
-            trunc = valuation + len(seq) - 1 if seq else 0
-        need = trunc - valuation + 1
-        if len(seq) > need:
-            raise ValueError("more coefficients than the truncation admits")
-        return cls(valuation, seq + [0] * (need - len(seq)), trunc)
 
     # -- accessors ---------------------------------------------------------
 
@@ -167,7 +181,7 @@ class QSeries:
         if self.is_zero() or other.is_zero():
             return QSeries.zero(trunc)
         val = self.valuation + other.valuation
-        out = _convolve(list(self.coeffs), list(other.coeffs), trunc - val + 1)
+        out = _convolve(self.coeffs, other.coeffs, trunc - val + 1)
         return QSeries(val, out, trunc)
 
     __rmul__ = __mul__
@@ -213,14 +227,7 @@ class QSeries:
             b.append(_as_exact(bn) if isinstance(bn, Fraction) else bn)
         return QSeries(0, b, trunc)
 
-    # -- coefficient-extraction and substitution operators ------------------
-
-    def u_operator(self, m: int) -> "QSeries":
-        """U(m): coefficient n of the result is coefficient n*m of self."""
-        if m < 1:
-            raise ValueError("U(m) requires m >= 1")
-        t = self.trunc // m
-        return QSeries(0, [self.coefficient(n * m) for n in range(t + 1)], t)
+    # -- substitution operators --------------------------------------------
 
     def rescale(self, m: int) -> "QSeries":
         """Substitute q -> q**m."""
@@ -263,11 +270,6 @@ class QSeries:
             for c in self.coeffs
         ]
         return {"valuation": self.valuation, "trunc": self.trunc, "coeffs": coeffs}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QSeries":
-        coeffs = [Fraction(int(num), int(den)) for num, den in d["coeffs"]]
-        return cls(d["valuation"], coeffs, d["trunc"])
 
 
 # -- the Euler product and its powers ---------------------------------------

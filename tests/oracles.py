@@ -36,6 +36,49 @@ def monomial(c, power: int, trunc: int) -> QSeries:
     return QSeries(power, [c] + [0] * (trunc - power), trunc)
 
 
+def from_coefficients(seq, trunc: int | None = None, valuation: int = 0) -> QSeries:
+    """QSeries with the given coefficients from q**valuation, zero-padded to trunc."""
+    seq = list(seq)
+    if trunc is None:
+        trunc = valuation + len(seq) - 1 if seq else 0
+    need = trunc - valuation + 1
+    if len(seq) > need:
+        raise ValueError("more coefficients than the truncation admits")
+    return QSeries(valuation, seq + [0] * (need - len(seq)), trunc)
+
+
+def from_json_dict(d: dict) -> QSeries:
+    """Inverse of QSeries.to_json_dict."""
+    coeffs = [Fraction(int(num), int(den)) for num, den in d["coeffs"]]
+    return QSeries(d["valuation"], coeffs, d["trunc"])
+
+
+def u_operator(series: QSeries, m: int) -> QSeries:
+    """U(m): coefficient n of the result is coefficient n*m of series."""
+    if m < 1:
+        raise ValueError("U(m) requires m >= 1")
+    t = series.trunc // m
+    return QSeries(0, [series.coefficient(n * m) for n in range(t + 1)], t)
+
+
+def convolve_schoolbook(a: list, b: list, out_len: int) -> list:
+    """Schoolbook product of coefficient lists, truncated to out_len entries."""
+    out = [0] * out_len
+    # run the sparser operand on the outside
+    if sum(1 for x in a if x) > sum(1 for x in b if x):
+        a, b = b, a
+    lb = len(b)
+    for i, ai in enumerate(a):
+        if not ai or i >= out_len:
+            continue
+        jmax = min(lb, out_len - i)
+        for j in range(jmax):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
 def partitions_brute(n: int) -> int:
     """Count partitions of n by explicit recursion over the largest part."""
     if n < 0:

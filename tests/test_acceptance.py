@@ -38,7 +38,7 @@ from cphi.verify import (
     eta13_series,
     residual_series,
 )
-from oracles import evaluate_numeric, multi_partition_sigma_route
+from oracles import evaluate_numeric, multi_partition_sigma_route, u_operator
 
 
 def _report(number: str, ok: bool, detail: str) -> None:
@@ -201,7 +201,7 @@ def test_criterion_09_eisenstein_identities():
     for level in (5, 7, 13, 35):
         for d in divisors(level):
             m = level // d
-            lhs = eta_eisenstein_series(level, d, depth * m).u_operator(m).scale(m)
+            lhs = u_operator(eta_eisenstein_series(level, d, depth * m), m).scale(m)
             rhs = partition_eisenstein_series(level, d, depth).crop(lhs.trunc)
             if lhs != rhs:
                 ok = False

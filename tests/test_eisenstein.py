@@ -16,6 +16,7 @@ from cphi.eisenstein import (
 from cphi.eta_partition import eta_quotient_series
 from cphi.qseries import QSeries
 from cphi.theta import theta_series
+from oracles import u_operator
 
 
 def test_profile_shape():
@@ -69,7 +70,7 @@ def test_u_operator_intertwining():
         for d in divisors(level):
             m = level // d
             eta_side = eta_eisenstein_series(level, d, depth * m)
-            lhs = eta_side.u_operator(m).scale(m)
+            lhs = u_operator(eta_side, m).scale(m)
             rhs = partition_eisenstein_series(level, d, depth)
             assert lhs == rhs.crop(lhs.trunc), (level, d)
 

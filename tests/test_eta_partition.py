@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cphi import eta_partition
 from cphi.arith import divisors
 from cphi.eta_partition import (
     EtaQuotientSpec,
@@ -11,11 +12,13 @@ from cphi.eta_partition import (
     main_term,
     multi_partition_series,
     partition_count,
+    partition_numbers,
     scaled_partition_term,
 )
-from cphi.qseries import QSeries, euler_product
+from cphi.qseries import QSeries, eta_power, euler_product
 from cphi.radicals import QuarterRadical
-from oracles import multi_partition_sigma_route, partitions_brute
+from cphi.verify import main_term_series
+from oracles import multi_partition_sigma_route, partitions_brute, u_operator
 
 
 def test_spec_prefix_exponents():
@@ -69,7 +72,7 @@ def test_u_operator_on_eta_quotient_gives_partition_series():
         for d in divisors(level):
             m = level // d
             eta = eta_quotient_series(level, d, n_check * m)
-            lhs = eta.u_operator(m)
+            lhs = u_operator(eta, m)
             partition_side = QSeries(
                 0,
                 [
@@ -121,6 +124,30 @@ def test_partition_convention():
 def test_partition_against_enumeration():
     for n in range(31):
         assert partition_count(n) == partitions_brute(n), n
+
+
+def test_partition_table_grows_to_explicit_request(monkeypatch):
+    monkeypatch.setattr(eta_partition, "_partition_table", [1])
+    # the verify chain at N=13: main_term_series sizes the table to 13 * nMax
+    for n_max in (100, 200, 400, 600):
+        main_term_series.__wrapped__(13, n_max)
+        assert len(eta_partition._partition_table) == 13 * n_max + 1
+
+
+def test_partition_lookups_rebuild_logarithmically(monkeypatch):
+    builds = []
+
+    def counting_eta_power(k, trunc):
+        builds.append(trunc)
+        return eta_power(k, trunc)
+
+    monkeypatch.setattr(eta_partition, "_partition_table", [1])
+    monkeypatch.setattr(eta_partition, "eta_power", counting_eta_power)
+    for n in range(1, 1601):
+        assert partition_count(5 * n - 1) == eta_partition._partition_table[5 * n - 1]
+    assert len(builds) <= (5 * 1600).bit_length() + 1
+    assert all(later >= 2 * earlier for earlier, later in zip(builds, builds[1:]))
+    assert partition_numbers(30) == [partitions_brute(n) for n in range(31)]
 
 
 def test_scaled_partition_terms():

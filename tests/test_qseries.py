@@ -4,8 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from cphi.qseries import QSeries, eta_power, euler_coefficients, euler_product
-from oracles import euler_coefficients_product, monomial, partitions_brute
+from cphi.qseries import QSeries, _convolve, eta_power, euler_coefficients, euler_product
+from cphi.theta import theta_series
+from cphi.verify import main_term_series
+from oracles import (
+    convolve_schoolbook,
+    euler_coefficients_product,
+    from_coefficients,
+    from_json_dict,
+    monomial,
+    partitions_brute,
+    u_operator,
+)
 
 
 def random_series(rng, trunc, rational=False):
@@ -18,15 +28,110 @@ def random_series(rng, trunc, rational=False):
     return QSeries(0, coeffs, trunc)
 
 
+def random_coefficients(rng, length, kind):
+    """Signed ints of up to ~100 digits, Fractions, or a mix, with zero runs."""
+    out = []
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.25:
+            out.append(0)
+        elif kind == "fraction" or (kind == "mixed" and r < 0.6):
+            out.append(Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**6)))
+        else:
+            out.append(rng.randint(-10**rng.randint(0, 100), 10**rng.randint(0, 100)))
+    zeros = [0] * rng.randint(0, 3)
+    shape = rng.choice(("plain", "leading", "trailing", "both"))
+    if shape in ("leading", "both"):
+        out = zeros + out
+    if shape in ("trailing", "both"):
+        out = out + zeros
+    return out
+
+
+def test_convolve_matches_schoolbook_random():
+    rng = random.Random(31)
+    kinds = ("int", "fraction", "mixed")
+    for trial in range(600):
+        kind_a, kind_b = rng.choice(kinds), rng.choice(kinds)
+        a = random_coefficients(rng, rng.randint(0, 14), kind_a)
+        b = random_coefficients(rng, rng.randint(0, 14), kind_b)
+        # shorter than both operands, in between, and past len a + len b - 1
+        out_len = rng.randint(1, len(a) + len(b) + 3)
+        assert _convolve(a, b, out_len) == convolve_schoolbook(a, b, out_len), trial
+
+
+def test_convolve_edge_operands():
+    big = 10**100 - 1
+    cases = [
+        ([0, 0, 0, 5], [1, 2], 3),  # a is all zero once truncated
+        ([0, 0, 0], [-big, big], 4),  # an all-zero operand
+        ([], [1, 2, 3], 2),  # an empty operand
+        ([-1], [-1], 1),
+        ([big, -big, 0, 0, big], [-big, 0, big], 12),  # out_len past the full length
+        ([Fraction(1, 3), 0, Fraction(-2, 7)], [0, Fraction(5, 6)], 6),
+        ([Fraction(4, 2), 6], [Fraction(3, 9), 1], 3),  # integral Fractions
+        ([1, -1] * 40, [1] * 100, 60),  # both operands longer than out_len
+    ]
+    for a, b, out_len in cases:
+        assert _convolve(a, b, out_len) == convolve_schoolbook(a, b, out_len), (a, b)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("j", range(2, 10))
+def test_convolve_worst_case_lane(j, sign):
+    # m = 2**j - 1 coefficients, all at +-max, give |c_{m-1}| = m * max**2, the
+    # lane bound, and 2**(bits - 1) <= m * max**2 < 2**bits: a lane one bit
+    # narrower than bits + 1 overflows here whenever the byte rounding leaves
+    # no spare bit, and j = 2..9 makes bits hit every residue mod 8
+    top = 2**330 - 1
+    m = 2**j - 1
+    got = _convolve([top] * m, [sign * top] * m, 2 * m - 1)
+    assert got[m - 1] == sign * m * top * top
+    assert got == [sign * min(i + 1, 2 * m - 1 - i) * top * top for i in range(2 * m - 1)]
+
+
+def test_convolve_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(
+        st.integers(-(10**100), 10**100),
+        st.fractions(max_denominator=10**6),
+        st.just(0),
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        st.lists(coefficient, max_size=16),
+        st.lists(coefficient, max_size=16),
+        st.integers(1, 40),
+    )
+    def check(a, b, out_len):
+        assert _convolve(a, b, out_len) == convolve_schoolbook(a, b, out_len)
+
+    check()
+
+
+@pytest.mark.parametrize("level, n_max", [(5, 1600), (13, 600), (35, 200)])
+def test_workload_products_match_schoolbook(level, n_max):
+    theta = theta_series(level, n_max)
+    main = main_term_series(level, n_max)
+    for x, y in ((theta, eta_power(-level, n_max)), (eta_power(level, n_max), main)):
+        product = x * y
+        assert product.trunc == n_max
+        assert product.coefficients() == convolve_schoolbook(
+            list(x.coeffs), list(y.coeffs), n_max + 1
+        )
+
+
 def test_telescoping_product():
-    one_minus_q = QSeries.from_coefficients([1, -1], trunc=10)
+    one_minus_q = from_coefficients([1, -1], trunc=10)
     geometric = QSeries(0, [1] * 11, 10)
     assert one_minus_q * geometric == QSeries.one(10)
 
 
 def test_pow_square():
-    s = QSeries.from_coefficients([1, 1], trunc=2)
-    assert s.pow(2) == QSeries.from_coefficients([1, 2, 1], trunc=2)
+    s = from_coefficients([1, 1], trunc=2)
+    assert s.pow(2) == from_coefficients([1, 2, 1], trunc=2)
     assert s.pow(0) == QSeries.one(2)
 
 
@@ -76,7 +181,7 @@ def test_inverse_gives_partition_numbers():
 
 
 def test_inverse_simple_cases():
-    assert QSeries.from_coefficients([1, -1], trunc=6).inverse() == QSeries(
+    assert from_coefficients([1, -1], trunc=6).inverse() == QSeries(
         0, [1] * 7, 6
     )
     half = QSeries.constant(2, 4).inverse()
@@ -85,7 +190,7 @@ def test_inverse_simple_cases():
 
 def test_inverse_rejects_zero_constant_term():
     with pytest.raises(ValueError):
-        QSeries.from_coefficients([0, 1], trunc=3).inverse()
+        from_coefficients([0, 1], trunc=3).inverse()
     with pytest.raises(ValueError):
         monomial(1, 1, 5).inverse()
 
@@ -115,9 +220,9 @@ def test_ring_axioms_random():
 
 
 def test_u_operator():
-    s = QSeries.from_coefficients([1, 1, 2, 3, 5], trunc=4)
-    assert s.u_operator(2) == QSeries.from_coefficients([1, 2, 5], trunc=2)
-    assert s.u_operator(1) == s
+    s = from_coefficients([1, 1, 2, 3, 5], trunc=4)
+    assert u_operator(s, 2) == from_coefficients([1, 2, 5], trunc=2)
+    assert u_operator(s, 1) == s
 
 
 def test_u_operator_composition():
@@ -125,18 +230,18 @@ def test_u_operator_composition():
     for m in range(1, 7):
         for k in range(1, 7):
             s = random_series(rng, 72)
-            assert s.u_operator(m).u_operator(k) == s.u_operator(m * k)
+            assert u_operator(u_operator(s, m), k) == u_operator(s, m * k)
 
 
 def test_u_operator_accepts_shifted_series():
     s = monomial(3, 5, 20)
-    u = s.u_operator(5)
+    u = u_operator(s, 5)
     assert u.coefficient(1) == 3
     assert u.trunc == 4
 
 
 def test_truncation_tracking_through_mul():
-    a = QSeries.from_coefficients([1, 1, 1], trunc=2)
+    a = from_coefficients([1, 1, 1], trunc=2)
     b = monomial(1, 3, 8)  # q^3 known through q^8
     prod = a * b
     # guarantee: min(2 + 3, 8 + 0) = 5
@@ -147,7 +252,7 @@ def test_truncation_tracking_through_mul():
 
 
 def test_rescale_and_shift():
-    s = QSeries.from_coefficients([1, 2], trunc=1)
+    s = from_coefficients([1, 2], trunc=1)
     r = s.rescale(3)
     assert r.trunc == 5
     assert r.coefficients() == [1, 0, 0, 2, 0, 0]
@@ -172,4 +277,4 @@ def test_json_round_trip():
     s = QSeries(1, [Fraction(1, 3), 2, Fraction(-7, 2)], 3)
     d = json.loads(json.dumps(s.to_json_dict()))
     assert d["coeffs"][0] == ["1", "3"]
-    assert QSeries.from_json_dict(d) == s
+    assert from_json_dict(d) == s
