@@ -34,14 +34,12 @@ from .qseries import QSeries
 from .radicals import QuarterRadical, rational_str
 from .theta import cphi_series, theta_cusp_constant, theta_series
 from .verify import (
-    B1_TABLE,
-    KOLITSCH_LEVELS,
-    correction_series,
+    asymptotic_ratios,
+    b1_table,
     decimal_str,
+    kolitsch_table,
     main_term_series,
-    residual_series,
     run_verification,
-    sturm_bound,
 )
 
 EXIT_OK = 0
@@ -186,9 +184,6 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    validate_level(args.N)
-    if args.nmax < 1:
-        raise UsageError("nmax must be >= 1")
     report = run_verification(args.N, args.nmax, args.ratio_tolerance)
     if args.format == "json":
         print(report.to_json())
@@ -203,8 +198,6 @@ def _cmd_ratios(args) -> int:
     validate_level(args.N)
     if args.nmax < 1:
         raise UsageError("nmax must be >= 1")
-    from .verify import asymptotic_ratios
-
     ratios, skipped = asymptotic_ratios(args.N, args.nmax)
     if args.format == "json":
         payload = {
@@ -228,31 +221,11 @@ def _cmd_ratios(args) -> int:
 
 def _cmd_table(args) -> int:
     which = args.which
-    rows = []
-    ok = True
+    rows, errors = [], []
     if which == "b1":
-        for level in sorted(B1_TABLE):
-            expected = B1_TABLE[level]
-            got = correction_series(level, 2).coefficient(1)
-            ok &= got == expected
-            rows.append(
-                {"N": level, "b1": rational_str(got), "expected": expected,
-                 "match": got == expected}
-            )
+        rows, errors = b1_table()
     elif which == "kolitsch":
-        n_max = args.nmax
-        for level in KOLITSCH_LEVELS:
-            residual = residual_series(level, n_max)
-            vanishes = residual.is_zero()
-            ok &= vanishes
-            bound = sturm_bound(level)
-            if n_max < bound:  # then a zero residual proves nothing
-                ok = False
-                print(f"N={level}: nmax={n_max} is below sturm_bound({level}) = {bound}",
-                      file=sys.stderr)
-            rows.append(
-                {"N": level, "nMax": n_max, "residual_zero": vanishes}
-            )
+        rows, errors = kolitsch_table(args.nmax)
     elif which == "cusp-constants":
         if args.N is None:
             raise UsageError("table cusp-constants requires --N")
@@ -265,6 +238,8 @@ def _cmd_table(args) -> int:
                     "eta": str(eta_cusp_constant(args.N, d, d)),
                 }
             )
+    for line in errors:
+        print(line, file=sys.stderr)
     if args.format == "json":
         print(json.dumps(rows))
     elif args.format == "csv":
@@ -276,7 +251,7 @@ def _cmd_table(args) -> int:
     else:
         for row in rows:
             print("  ".join(f"{k}={v}" for k, v in row.items()))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_CHECK_FAILED if errors else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

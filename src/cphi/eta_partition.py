@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .arith import divisors, validate_level
@@ -40,7 +39,6 @@ class EtaQuotientSpec:
         return (self.level**2 - self.d**2) // (24 * self.d)
 
 
-@lru_cache(maxsize=None)
 def eta_quotient_series(level: int, d: int, n_max: int) -> QSeries:
     """Exact expansion of eta((N/d)z)^N / eta(dz) through q**n_max."""
     spec = EtaQuotientSpec(level, d)
@@ -117,7 +115,6 @@ def main_term(level: int, n: int) -> int:
     return sum(scaled_partition_term(level, d, n) for d in divisors(level))
 
 
-@lru_cache(maxsize=None)
 def multi_partition_series(r: int, n_max: int) -> QSeries:
     """1/(q;q)^r: coefficients count r-colored partitions."""
     if r < 0:

@@ -1,10 +1,16 @@
-"""Theorem-level verification: residual series, named checks, reports.
+"""Theorem-level verification: residual and b series, one table of checks, reports.
 
-The central object is the residual C = f_theta - (q;q)^N * (partition side),
-computed as a difference of two independently derived exact series (lattice
-counting vs. partition numbers), never through the Eisenstein decomposition.
-Dividing by (q;q)^N gives the correction coefficients b(n) of the main
-identity cphi_N(n) = sum_d (N/d) P(N n/d^2 - (N^2-d^2)/(24 d^2)) + b(n).
+The residual C = f_theta - (q;q)^N * (partition side) is computed as a
+difference of two independently derived exact series (lattice counting vs.
+partition numbers), never through the Eisenstein decomposition.  The
+correction b(n) is what the main identity
+cphi_N(n) = sum_d (N/d) P(N n/d^2 - (N^2-d^2)/(24 d^2)) + b(n) defines it to
+be, cphi minus the partition side; it equals C / (q;q)^N.
+
+The checks are one ordered table, CHECKS, of small generator functions of
+(level, nMax, ratio tolerance), each yielding its results, none when it does
+not apply.  run_verification runs the table; the b1 and kolitsch summary
+tables read the same check functions.
 """
 
 from __future__ import annotations
@@ -65,9 +71,8 @@ def residual_series(level: int, n_max: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def correction_series(level: int, n_max: int) -> QSeries:
-    """b(n) series: the residual divided by (q;q)^N."""
-    residual = residual_series(level, n_max)
-    return (residual * eta_power(-level, n_max)).crop(n_max)
+    """b(n) series: cphi minus the partition side (equal to the residual / (q;q)^N)."""
+    return cphi_series(level, n_max) - main_term_series(level, n_max)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +134,6 @@ class VerificationReport:
     b_coeffs: list
     checks: list = field(default_factory=list)
     ratios: list = field(default_factory=list)  # (n, Fraction)
-    skipped_ratio_points: list = field(default_factory=list)
     cphi_coeffs: list = field(default_factory=list)
     main_coeffs: list = field(default_factory=list)
 
@@ -181,11 +185,171 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _first_difference(a: QSeries, b: QSeries, n_max: int):
-    for n in range(n_max + 1):
-        if a.coefficient(n) != b.coefficient(n):
-            return n
-    return None
+# -- the checks: each yields its results for (level, nMax, ratio tolerance) --
+
+
+def _main_identity(level, n_max, tol):
+    # b is defined as cphi - main, so this holds by construction
+    rebuilt = main_term_series(level, n_max) + correction_series(level, n_max)
+    diff = (cphi_series(level, n_max) - rebuilt).order()
+    yield CheckResult(
+        "main-identity",
+        diff is None,
+        f"cphi(n) = partition side + b(n) exactly through q^{n_max}"
+        if diff is None
+        else f"first mismatch at n={diff}",
+    )
+
+
+def _residual(level, n_max, tol):
+    residual = residual_series(level, n_max)
+    c0, order = residual.coefficient(0), residual.order()
+    yield CheckResult("residual-constant-term", c0 == 0, f"residual constant term = {c0}")
+    if level in ZERO_RESIDUAL_LEVELS:
+        yield CheckResult(
+            "residual-vanishes",
+            order is None,
+            f"residual is the zero series through q^{n_max} (Sturm bound {sturm_bound(level)})"
+            if order is None
+            else f"residual has a nonzero coefficient at n={order}",
+        )
+    else:
+        yield CheckResult(
+            "residual-nonzero",
+            order is not None,
+            f"first nonzero residual coefficient at n={order}"
+            if order is not None
+            else f"residual unexpectedly vanishes through q^{n_max}",
+        )
+
+
+def _kolitsch_spot_identities(level, n_max, tol):
+    if level not in KOLITSCH_LEVELS:
+        return
+    bad = correction_series(level, n_max).order()  # first n with cphi(n) != main(n)
+    yield CheckResult(
+        "kolitsch-spot-identities",
+        bad is None,
+        f"cphi_{level}(n) equals the partition side for all n <= {n_max}"
+        if bad is None
+        else f"first offending n={bad}",
+    )
+
+
+def _cwy13_eta_series(level, n_max, tol):
+    if level != 13:
+        return
+    target = eta13_series(n_max).scale(CWY13_SCALE)
+    diff = (correction_series(level, n_max) - target).order()
+    yield CheckResult(
+        "cwy13-eta-series",
+        diff is None,
+        f"b-series equals {CWY13_SCALE} * q(q^13;q^13)/(q;q)^2 exactly "
+        f"through q^{n_max} (scale fixed by b(1))"
+        if diff is None
+        else f"first mismatch at n={diff}",
+    )
+
+
+def _b1_value(level, n_max, tol):
+    if level < 13:
+        return
+    expected = B1_TABLE.get(level, level * level)
+    got = correction_series(level, n_max).coefficient(1)
+    yield CheckResult("b1-value", got == expected, f"b(1) = {got}, expected {expected}")
+
+
+def _cphi1_square(level, n_max, tol):
+    got = cphi_series(level, n_max).coefficient(1)
+    yield CheckResult(
+        "cphi1-square", got == level * level, f"cphi_{level}(1) = {got}, expected {level * level}"
+    )
+
+
+def _sturm_coverage(level, n_max, tol):
+    bound = sturm_bound(level)
+    relation = "covers" if n_max >= bound else "is below"
+    yield CheckResult(
+        "sturm-coverage", n_max >= bound, f"nMax={n_max} {relation} Sturm bound {bound}"
+    )
+
+
+def _nonvanishing_scan(level, n_max, tol):
+    if level in ZERO_RESIDUAL_LEVELS:
+        return
+    b = correction_series(level, n_max)
+    nonzero = [n for n in range(1, n_max + 1) if b.coefficient(n) != 0]
+    top_half = [n for n in nonzero if n >= n_max // 2]
+    if nonzero:
+        gap = max(later - earlier for earlier, later in zip([0] + nonzero, nonzero))
+    else:
+        gap = n_max
+    yield CheckResult(
+        "nonvanishing-scan",
+        bool(top_half),
+        f"largest gap between nonzero b(n) is {gap}; "
+        f"{len(top_half)} nonzero entries in [{n_max // 2}, {n_max}]",
+    )
+
+
+def _asymptotic(level, n_max, tol):
+    cphi, main = cphi_series(level, n_max), main_term_series(level, n_max)
+    quarter = -(-n_max // 4)
+    if not (main.coefficient(n_max) and main.coefficient(quarter)):
+        yield CheckResult(
+            "asymptotic-trend",
+            True,
+            "insufficient nonzero main-term range for a trend comparison",
+        )
+        return
+    devN, devQ = (
+        abs(Fraction(cphi.coefficient(n), main.coefficient(n)) - 1) for n in (n_max, quarter)
+    )
+    yield CheckResult(
+        "asymptotic-trend",
+        devN < devQ or (devN == 0 and devQ == 0),
+        f"|r({n_max})-1| = {decimal_str(devN)} vs |r({quarter})-1| = {decimal_str(devQ)}",
+    )
+    if level == 13:
+        tol = Fraction(tol).limit_denominator(10**9)
+        yield CheckResult(
+            "asymptotic-tolerance",
+            devN < tol,
+            f"|r({n_max})-1| = {decimal_str(devN)} < {float(tol)}",
+        )
+
+
+def _coefficient_growth(level, n_max, tol):
+    if level in ZERO_RESIDUAL_LEVELS:
+        return
+    residual = residual_series(level, n_max)
+    exponent = (level - 1) / 4 + 0.75
+    if n_max >= 20:
+        peak = max(abs(residual.coefficient(n)) / n**exponent for n in range(20, n_max + 1))
+        detail = f"max |C(n)|/n^{exponent:.2f} over [20,{n_max}] = {peak:.6g} (reported only)"
+    else:
+        detail = "window empty (reported only)"
+    yield CheckResult("coefficient-growth", True, detail)
+
+
+def _scope_note(level, n_max, tol):
+    yield CheckResult("scope-note", True, SCOPE_NOTE)
+
+
+# in report order
+CHECKS = (
+    _main_identity,
+    _residual,
+    _kolitsch_spot_identities,
+    _cwy13_eta_series,
+    _b1_value,
+    _cphi1_square,
+    _sturm_coverage,
+    _nonvanishing_scan,
+    _asymptotic,
+    _coefficient_growth,
+    _scope_note,
+)
 
 
 def run_verification(
@@ -195,191 +359,53 @@ def run_verification(
     validate_level(level)
     if n_max < 1:
         raise ValueError("verification needs nMax >= 1")
-    cphi = cphi_series(level, n_max)
-    main = main_term_series(level, n_max)
-    residual = residual_series(level, n_max)
-    b = correction_series(level, n_max)
-    ratios, skipped = asymptotic_ratios(level, n_max)
+    ratios, _ = asymptotic_ratios(level, n_max)
     report = VerificationReport(
         level=level,
         n_max=n_max,
-        residual_coeffs=residual.coefficients(),
-        b_coeffs=b.coefficients(),
+        residual_coeffs=residual_series(level, n_max).coefficients(),
+        b_coeffs=correction_series(level, n_max).coefficients(),
         ratios=ratios,
-        skipped_ratio_points=skipped,
-        cphi_coeffs=cphi.coefficients(),
-        main_coeffs=main.coefficients(),
+        cphi_coeffs=cphi_series(level, n_max).coefficients(),
+        main_coeffs=main_term_series(level, n_max).coefficients(),
     )
-    checks = report.checks
-
-    # main identity: the two constructions of cphi agree coefficientwise
-    diff = _first_difference(cphi, main + b, n_max)
-    checks.append(
-        CheckResult(
-            "main-identity",
-            diff is None,
-            "cphi(n) = partition side + b(n) exactly through q^%d" % n_max
-            if diff is None
-            else f"first mismatch at n={diff}",
-        )
-    )
-
-    checks.append(
-        CheckResult(
-            "residual-constant-term",
-            residual.coefficient(0) == 0,
-            f"residual constant term = {residual.coefficient(0)}",
-        )
-    )
-
-    bound = sturm_bound(level)
-    if level in ZERO_RESIDUAL_LEVELS:
-        checks.append(
-            CheckResult(
-                "residual-vanishes",
-                residual.is_zero(),
-                f"residual is the zero series through q^{n_max} "
-                f"(Sturm bound {bound})"
-                if residual.is_zero()
-                else f"residual has a nonzero coefficient at n={residual.order()}",
-            )
-        )
-    else:
-        order = residual.order()
-        checks.append(
-            CheckResult(
-                "residual-nonzero",
-                order is not None,
-                f"first nonzero residual coefficient at n={order}"
-                if order is not None
-                else f"residual unexpectedly vanishes through q^{n_max}",
-            )
-        )
-
-    if level in KOLITSCH_LEVELS:
-        bad = _first_difference(cphi, main, n_max)
-        checks.append(
-            CheckResult(
-                "kolitsch-spot-identities",
-                bad is None,
-                f"cphi_{level}(n) equals the partition side for all n <= {n_max}"
-                if bad is None
-                else f"first offending n={bad}",
-            )
-        )
-
-    if level == 13:
-        target = eta13_series(n_max).scale(CWY13_SCALE)
-        diff = _first_difference(b, target, n_max)
-        checks.append(
-            CheckResult(
-                "cwy13-eta-series",
-                diff is None,
-                f"b-series equals {CWY13_SCALE} * q(q^13;q^13)/(q;q)^2 exactly "
-                f"through q^{n_max} (scale fixed by b(1))"
-                if diff is None
-                else f"first mismatch at n={diff}",
-            )
-        )
-
-    if level >= 13:
-        expected_b1 = B1_TABLE.get(level, level * level)
-        got = b.coefficient(1)
-        checks.append(
-            CheckResult(
-                "b1-value",
-                got == expected_b1,
-                f"b(1) = {got}, expected {expected_b1}",
-            )
-        )
-
-    got1 = cphi.coefficient(1)
-    checks.append(
-        CheckResult(
-            "cphi1-square",
-            got1 == level * level,
-            f"cphi_{level}(1) = {got1}, expected {level * level}",
-        )
-    )
-
-    checks.append(
-        CheckResult(
-            "sturm-coverage",
-            n_max >= bound,
-            f"nMax={n_max} covers Sturm bound {bound}",
-        )
-    )
-
-    if level not in ZERO_RESIDUAL_LEVELS:
-        nonzero = [n for n in range(1, n_max + 1) if b.coefficient(n) != 0]
-        top_half = [n for n in nonzero if n >= n_max // 2]
-        if nonzero:
-            gaps = [
-                later - earlier
-                for earlier, later in zip([0] + nonzero, nonzero)
-            ]
-            gap = max(gaps)
-        else:
-            gap = n_max
-        checks.append(
-            CheckResult(
-                "nonvanishing-scan",
-                bool(top_half),
-                f"largest gap between nonzero b(n) is {gap}; "
-                f"{len(top_half)} nonzero entries in [{n_max // 2}, {n_max}]",
-            )
-        )
-
-    ratio_map = dict(ratios)
-    quarter = -(-n_max // 4)
-    if n_max in ratio_map and quarter in ratio_map:
-        devN = abs(ratio_map[n_max] - 1)
-        devQ = abs(ratio_map[quarter] - 1)
-        trend_ok = devN < devQ or (devN == 0 and devQ == 0)
-        checks.append(
-            CheckResult(
-                "asymptotic-trend",
-                trend_ok,
-                f"|r({n_max})-1| = {decimal_str(devN)} vs "
-                f"|r({quarter})-1| = {decimal_str(devQ)}",
-            )
-        )
-        if level == 13:
-            tol = Fraction(ratio_tolerance).limit_denominator(10**9)
-            checks.append(
-                CheckResult(
-                    "asymptotic-tolerance",
-                    devN < tol,
-                    f"|r({n_max})-1| = {decimal_str(devN)} < {float(tol)}",
-                )
-            )
-    else:
-        checks.append(
-            CheckResult(
-                "asymptotic-trend",
-                True,
-                "insufficient nonzero main-term range for a trend comparison",
-            )
-        )
-
-    if level not in ZERO_RESIDUAL_LEVELS:
-        exponent = (level - 1) / 4 + 0.75
-        window = [n for n in range(20, n_max + 1)]
-        if window:
-            peak = max(
-                abs(residual.coefficient(n)) / n**exponent for n in window
-            )
-            detail = (
-                f"max |C(n)|/n^{exponent:.2f} over [20,{n_max}] = {peak:.6g} "
-                "(reported only)"
-            )
-        else:
-            detail = "window empty (reported only)"
-        checks.append(CheckResult("coefficient-growth", True, detail))
-
-    checks.append(CheckResult("scope-note", True, SCOPE_NOTE))
-
-    names = [c.name for c in checks]
+    for check in CHECKS:
+        report.checks.extend(check(level, n_max, ratio_tolerance))
+    names = [c.name for c in report.checks]
     if len(names) != len(set(names)):
         raise RuntimeError("duplicate check names in report")
     return report
+
+
+# -- the summary tables: rows, and one stderr line per failed check ----------
+
+
+def b1_table():
+    """Rows of `cphi table --which b1`: b(1) against B1_TABLE for each level."""
+    rows, errors = [], []
+    for level in sorted(B1_TABLE):
+        (check,) = _b1_value(level, 2, None)
+        got = correction_series(level, 2).coefficient(1)
+        rows.append({"N": level, "b1": rational_str(got), "expected": B1_TABLE[level],
+                     "match": check.passed})
+        if not check.passed:
+            errors.append(f"N={level}: {check.detail}")
+    return rows, errors
+
+
+def kolitsch_table(n_max: int):
+    """Rows of `cphi table --which kolitsch`: does the residual vanish at N = 5, 7, 11?
+
+    Below the Sturm bound a zero residual proves nothing, so that is an error too.
+    """
+    rows, errors = [], []
+    for level in KOLITSCH_LEVELS:
+        _, vanishes = _residual(level, n_max, None)
+        (coverage,) = _sturm_coverage(level, n_max, None)
+        rows.append({"N": level, "nMax": n_max, "residual_zero": vanishes.passed})
+        if not vanishes.passed:
+            errors.append(f"N={level}: {vanishes.detail}")
+        if not coverage.passed:
+            errors.append(f"N={level}: nmax={n_max} is below sturm_bound({level}) = "
+                          f"{sturm_bound(level)}")
+    return rows, errors

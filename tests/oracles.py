@@ -14,8 +14,9 @@ from math import comb, isqrt, pi
 
 from cphi.arith import validate_level
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
-from cphi.qseries import QSeries
+from cphi.qseries import QSeries, eta_power
 from cphi.radicals import QuarterRadical
+from cphi.verify import residual_series
 
 
 def approx_complex(value: QuarterRadical) -> complex:
@@ -220,6 +221,47 @@ def theta_series_lane_dp(level: int, n_max: int) -> QSeries:
             if lane:
                 coeffs[(s2 + ss) // 2] += lane
     return QSeries(0, coeffs, n_max)
+
+
+def _frobenius_half(level: int, n_max: int, first: int) -> dict:
+    """prod_{m >= first} (1 + w q^m)^N as {k: coefficients of w^k at q^0..q^n_max}."""
+    half = {0: [1] + [0] * n_max}
+    for m in range(first, n_max + 1):
+        nxt: dict = {}
+        for k, poly in half.items():
+            for j in range(level + 1):
+                if j * m > n_max:
+                    break
+                c = comb(level, j)
+                target = nxt.setdefault(k + j, [0] * (n_max + 1))
+                for d in range(n_max + 1 - j * m):
+                    target[d + j * m] += c * poly[d]
+        half = nxt
+    return half
+
+
+def cphi_constant_term(level: int, n_max: int) -> list:
+    """cphi_N(0..n_max) from Andrews' definition (Mem. AMS 301, 1984).
+
+    CPhi_N(q) = CT_z prod_{m>=0} (1 + z q^(m+1))^N (1 + z^-1 q^m)^N.  The
+    first product is sum_k z^k A_k(q), the second sum_k z^-k B_k(q), so the
+    constant term is sum_k A_k B_k.  Plain lists and dicts: no lattice DP,
+    no Jacobi triple product, no eta_power and no Kronecker product.
+    """
+    a = _frobenius_half(level, n_max, 1)
+    b = _frobenius_half(level, n_max, 0)
+    out = [0] * (n_max + 1)
+    for k in a.keys() & b.keys():
+        for i, x in enumerate(a[k]):
+            if x:
+                for j in range(n_max + 1 - i):
+                    out[i + j] += x * b[k][j]
+    return out
+
+
+def correction_series_by_division(level: int, n_max: int) -> QSeries:
+    """b = residual / (q;q)^N, the route correction_series used before cphi - main."""
+    return (residual_series(level, n_max) * eta_power(-level, n_max)).crop(n_max)
 
 
 def gauss_naive(dim: int, a: int, c: int) -> complex:

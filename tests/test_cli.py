@@ -1,11 +1,14 @@
 import hashlib
 import json
 import shlex
+from pathlib import Path
 
 import pytest
 
+import cphi.verify
 from cphi import cli
 from cphi.cli import main
+from oracles import monomial
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +73,9 @@ def test_invalid_level_messages(capsys):
     code, _, err = run_cli(capsys, "verify", "--N", "25", "--nmax", "10")
     assert code == 2
     assert "squarefree" in err
+    code, _, err = run_cli(capsys, "verify", "--N", "5", "--nmax", "0")
+    assert code == 2
+    assert "nMax >= 1" in err
 
 
 def test_verify_pass_and_exit_codes(capsys):
@@ -232,3 +238,34 @@ def test_invariant_errors_exit_check_failed(capsys, monkeypatch, exc):
     assert out == ""
     assert f"error: {exc}" in err
     assert "Traceback" not in err
+
+
+def test_readme_cli_block_matches_pinned_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = [
+        line.strip()[len("cphi "):].split("#", 1)[0].strip()
+        for line in block.splitlines()
+        if line.strip().startswith("cphi ")
+    ]
+    assert commands == [line for line, _, _ in README_EXAMPLES]
+
+
+def test_verify_below_sturm_bound_fails(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--N", "35", "--nmax", "20")
+    assert code == 1
+    assert "  [FAIL] sturm-coverage: nMax=20 is below Sturm bound 68\n" in out
+    assert "covers" not in out
+    assert out.endswith("  overall: FAIL\n")
+
+
+def test_table_kolitsch_fails_on_nonzero_residual(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cphi.verify, "residual_series", lambda level, n_max: monomial(1, 3, n_max)
+    )
+    code, out, err = run_cli(
+        capsys, "table", "--which", "kolitsch", "--nmax", "20", "--format", "json"
+    )
+    assert code == 1
+    assert [r["residual_zero"] for r in json.loads(out)] == [False, False, False]
+    assert "N=5: residual has a nonzero coefficient at n=3" in err

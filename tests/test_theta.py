@@ -7,7 +7,7 @@ from cphi.eta_partition import partition_count
 from cphi.gauss_sums import gauss_sum_closed
 from cphi.radicals import QuarterRadical
 from cphi.theta import cphi_series, theta_cusp_constant, theta_series
-from oracles import theta_counts_dfs, theta_series_lane_dp
+from oracles import cphi_constant_term, theta_counts_dfs, theta_series_lane_dp
 
 
 def test_theta_series_small_values():
@@ -101,3 +101,12 @@ def test_theta_cusp_constant_two_routes():
                 * QuarterRadical(Fraction(1, level), 0, level)  # 1/sqrt(N)
             )
             assert theta_cusp_constant(level, d) == route2, (level, d)
+
+
+@pytest.mark.parametrize(
+    "level,n_max", [(1, 40), (5, 40), (7, 40), (11, 30), (13, 30), (23, 25), (35, 20)]
+)
+def test_cphi_matches_andrews_constant_term(level, n_max):
+    # the independent route that the report's main-identity check is not:
+    # b is cphi - main, so that check holds by construction
+    assert cphi_series(level, n_max).coefficients() == cphi_constant_term(level, n_max)

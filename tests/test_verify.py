@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import cphi.eta_partition
+import cphi.qseries
+import cphi.theta
+import cphi.verify
 from cphi.eta_partition import partition_count
 from cphi.qseries import QSeries
 from cphi.theta import cphi_series
@@ -16,6 +20,7 @@ from cphi.verify import (
     run_verification,
     sturm_bound,
 )
+from oracles import correction_series_by_division, monomial
 
 
 def test_sturm_bounds():
@@ -160,3 +165,49 @@ def test_run_verification_rejects_bad_levels():
         run_verification(15, 10)
     with pytest.raises(ValueError):
         run_verification(12, 10)
+
+
+@pytest.mark.parametrize("level,n_max", [(5, 1600), (13, 600), (23, 200), (35, 200)])
+def test_correction_series_matches_division_route(level, n_max):
+    # b = cphi - main against the route it replaced, residual * (q;q)^-N
+    b = correction_series(level, n_max)
+    old = correction_series_by_division(level, n_max)
+    assert b.trunc == old.trunc == n_max
+    assert b.coefficients() == old.coefficients()
+
+
+def test_verify_computes_eta_power_minus_n_once(monkeypatch):
+    level, n_max = 13, 47
+    calls = []
+    original = cphi.qseries.eta_power
+
+    def counting(k, trunc):
+        calls.append((k, trunc))
+        return original(k, trunc)
+
+    for module in (cphi.theta, cphi.verify, cphi.eta_partition):
+        monkeypatch.setattr(module, "eta_power", counting)
+    for cached in (cphi_series, correction_series, residual_series, main_term_series):
+        cached.cache_clear()
+    run_verification(level, n_max)
+    assert calls.count((-level, n_max)) == 1
+
+
+def test_residual_checks_fail_on_nonzero_residual(monkeypatch):
+    monkeypatch.setattr(
+        cphi.verify, "residual_series", lambda level, n_max: monomial(1, 3, n_max)
+    )
+    report = run_verification(5, 20)
+    check = report.check("residual-vanishes")
+    assert not check.passed
+    assert check.detail == "residual has a nonzero coefficient at n=3"
+    assert not report.all_passed
+
+
+def test_sturm_coverage_fail_wording():
+    check = run_verification(35, 20).check("sturm-coverage")
+    assert not check.passed
+    assert check.detail == "nMax=20 is below Sturm bound 68"
+    assert run_verification(35, 68).check("sturm-coverage").detail == (
+        "nMax=68 covers Sturm bound 68"
+    )
