@@ -149,11 +149,8 @@ def _cmd_gauss(args) -> int:
             f"no evaluation route applies: {c}^{dim} exceeds the oracle guard "
             "and no closed form matches"
         )
-    agree = True
     exacts = list(exact_values.values())
-    for i in range(1, len(exacts)):
-        if exacts[i] != exacts[0]:
-            agree = False
+    agree = all(x == exacts[0] for x in exacts)
     if oracle is not None and exacts:
         re, im = exacts[0].approx()
         scale = max(abs(oracle), (re * re + im * im) ** 0.5, 1.0)
@@ -164,6 +161,8 @@ def _cmd_gauss(args) -> int:
         print(json.dumps(payload))
     else:
         for key, val in payload.items():
+            if key == "oracle" and val is not None:
+                val = f"{val['re']} {val['im']}"
             print(f"{key}: {val}")
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 

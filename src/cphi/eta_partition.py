@@ -82,7 +82,7 @@ _partition_table = [1]
 
 
 def partition_numbers(n_max: int) -> list:
-    """P(0..n_max), the coefficients of 1/(q;q) (grow-only table, grown to n_max)."""
+    """P(0..n_max) by Euler's recurrence, eta_power(-1) (grow-only table, grown to n_max)."""
     if n_max >= len(_partition_table):
         _partition_table[:] = eta_power(-1, n_max).coeffs
     return _partition_table[: n_max + 1]

@@ -9,7 +9,8 @@ otherwise; the two mix transparently.
 Every product of two series is one Kronecker substitution: both coefficient
 lists are evaluated at 2**L, the two integers are multiplied once, and the
 coefficients are read back as L-bit lanes.  L is wide enough that no lane of
-the product can overflow (see _convolve), so the result is exact.
+the product can overflow (see _convolve), so the result is exact.  A factor
+(q;q)_infinity**k needs no product: times_eta_power adds over its pentagonal terms.
 """
 
 from __future__ import annotations
@@ -151,8 +152,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         t = min(self.trunc, other.trunc)
-        v = min(self.valuation, other.valuation)
-        v = min(v, t)
+        v = min(self.valuation, other.valuation, t)
         out = [0] * (t - v + 1)
         for src in (self, other):
             for j, c in enumerate(src.coeffs):
@@ -223,8 +223,7 @@ class QSeries:
                 if j > n:
                     break
                 acc += aj * b[n - j]
-            bn = -acc * inv0 if acc else 0
-            b.append(_as_exact(bn) if isinstance(bn, Fraction) else bn)
+            b.append(-acc * inv0)  # QSeries makes integral Fractions ints
         return QSeries(0, b, trunc)
 
     # -- substitution operators --------------------------------------------
@@ -233,14 +232,9 @@ class QSeries:
         """Substitute q -> q**m."""
         if m < 1:
             raise ValueError("rescale requires m >= 1")
-        if self.is_zero():
-            return QSeries.zero((self.trunc + 1) * m - 1)
-        out = [0] * (len(self.coeffs) * m - (m - 1))
-        for j, c in enumerate(self.coeffs):
-            out[j * m] = c
-        trunc = (self.trunc + 1) * m - 1
-        val = self.valuation * m
-        return QSeries(val, out + [0] * (trunc - val + 1 - len(out)), trunc)
+        out = [0] * (len(self.coeffs) * m)
+        out[::m] = self.coeffs
+        return QSeries(self.valuation * m, out, (self.trunc + 1) * m - 1)
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k."""
@@ -299,22 +293,31 @@ def euler_product(trunc: int) -> QSeries:
     return QSeries(0, list(euler_coefficients(trunc)), trunc)
 
 
-def eta_power(k: int, trunc: int) -> QSeries:
-    """(q;q)_infinity**k exact through q**trunc, for any integer k.
+def times_eta_power(series: QSeries, k: int) -> QSeries:
+    """series * (q;q)_infinity**k exact through series.trunc, for any integer k.
 
-    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7): for b = a**k
-    with a_0 = 1, n b_n = sum_{j>=1} ((k + 1) j - n) a_j b_{n-j}.  The Euler
-    product a is +-1 at the O(sqrt n) pentagonal numbers and 0 elsewhere, and
-    b has integer coefficients, so the division by n is exact.
+    (q;q) = 1 + sum a_j q**j, a_j = +-1 at the O(sqrt n) pentagonal j > 0, so each
+    of the |k| passes only adds: a product walks n down, c_n += sum_j a_j c_{n-j}
+    with c_{n-j} not yet updated; a quotient walks n up, c_n -= the same sum.
     """
-    a = euler_product(trunc).coeffs
-    terms = [(j, (k + 1) * j * aj, aj) for j, aj in enumerate(a) if j and aj]
-    b = [1]
-    for n in range(1, trunc + 1):
-        acc = 0
-        for j, kj, aj in terms:
-            if j > n:
-                break
-            acc += (kj - aj * n) * b[n - j]
-        b.append(acc // n)
-    return QSeries(0, b, trunc)
+    c = list(series.coeffs)
+    a = euler_coefficients(max(len(c) - 1, 0))
+    plus, minus = ([j for j in range(1, len(a)) if a[j] == sign] for sign in (1, -1))
+    for _ in range(abs(k)):
+        for n in range(len(c) - 1, 0, -1) if k > 0 else range(1, len(c)):
+            acc = 0
+            for j in plus:
+                if j > n:
+                    break
+                acc += c[n - j]
+            for j in minus:
+                if j > n:
+                    break
+                acc -= c[n - j]
+            c[n] += acc if k > 0 else -acc
+    return QSeries(series.valuation, c, series.trunc)
+
+
+def eta_power(k: int, trunc: int) -> QSeries:
+    """(q;q)_infinity**k exact through q**trunc; for k = -1, Euler's partition recurrence."""
+    return times_eta_power(QSeries.one(trunc), k)

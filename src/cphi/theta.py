@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import validate_level
-from .qseries import QSeries, eta_power
+from .qseries import QSeries, times_eta_power
 from .radicals import QuarterRadical
 
 
@@ -78,7 +78,7 @@ def cphi_series(level: int, n_max: int) -> QSeries:
     cphi_N has generating function f_{theta_{N-1}} / (q;q)_infinity^N; the
     coefficients must come out as nonnegative integers.
     """
-    series = theta_series(level, n_max) * eta_power(-level, n_max)
+    series = times_eta_power(theta_series(level, n_max), -level)
     for n, c in enumerate(series.coefficients()):
         if not isinstance(c, int) or c < 0:
             raise ArithmeticError(f"cphi_{level}({n}) = {c} is not a nonnegative integer")

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .arith import prime_factors, validate_level
 from .eta_partition import main_term, partition_numbers
-from .qseries import QSeries, eta_power, euler_product
+from .qseries import QSeries, euler_product, times_eta_power
 from .radicals import rational_str
 from .theta import cphi_series, theta_series
 
@@ -65,8 +65,7 @@ def main_term_series(level: int, n_max: int) -> QSeries:
 @lru_cache(maxsize=None)
 def residual_series(level: int, n_max: int) -> QSeries:
     """C = f_theta - (q;q)^N * (partition side), exact through q**n_max."""
-    product = eta_power(level, n_max) * main_term_series(level, n_max)
-    return theta_series(level, n_max) - product.crop(n_max)
+    return theta_series(level, n_max) - times_eta_power(main_term_series(level, n_max), level)
 
 
 @lru_cache(maxsize=None)
@@ -81,8 +80,7 @@ def eta13_series(n_max: int) -> QSeries:
     if n_max < 1:
         return QSeries.zero(n_max)
     rest = n_max - 1
-    series = euler_product(rest // 13).rescale(13) * eta_power(-2, rest)
-    return series.crop(rest).shift(1)
+    return times_eta_power(euler_product(rest // 13).rescale(13), -2).crop(rest).shift(1)
 
 
 def asymptotic_ratios(level: int, n_max: int):

@@ -14,7 +14,7 @@ from math import comb, isqrt, pi
 
 from cphi.arith import validate_level
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
-from cphi.qseries import QSeries, eta_power
+from cphi.qseries import QSeries, euler_product
 from cphi.radicals import QuarterRadical
 from cphi.verify import residual_series
 
@@ -107,6 +107,27 @@ def euler_coefficients_product(trunc: int) -> list:
         for k in range(trunc, n - 1, -1):
             c[k] -= c[k - n]
     return c
+
+
+def eta_power_miller(k: int, trunc: int) -> QSeries:
+    """(q;q)_infinity**k by J.C.P. Miller's power recurrence, eta_power's route before the passes.
+
+    Knuth, TAOCP vol. 2, 4.7: for b = a**k with a_0 = 1,
+    n b_n = sum_{j>=1} ((k + 1) j - n) a_j b_{n-j}.  The Euler product a is +-1
+    at the O(sqrt n) pentagonal numbers and 0 elsewhere, and b has integer
+    coefficients, so the division by n is exact.
+    """
+    a = euler_product(trunc).coeffs
+    terms = [(j, (k + 1) * j * aj, aj) for j, aj in enumerate(a) if j and aj]
+    b = [1]
+    for n in range(1, trunc + 1):
+        acc = 0
+        for j, kj, aj in terms:
+            if j > n:
+                break
+            acc += (kj - aj * n) * b[n - j]
+        b.append(acc // n)
+    return QSeries(0, b, trunc)
 
 
 def kronecker_factored(a: int, b: int) -> int:
@@ -261,7 +282,7 @@ def cphi_constant_term(level: int, n_max: int) -> list:
 
 def correction_series_by_division(level: int, n_max: int) -> QSeries:
     """b = residual / (q;q)^N, the route correction_series used before cphi - main."""
-    return (residual_series(level, n_max) * eta_power(-level, n_max)).crop(n_max)
+    return (residual_series(level, n_max) * eta_power_miller(-level, n_max)).crop(n_max)
 
 
 def gauss_naive(dim: int, a: int, c: int) -> complex:

@@ -8,6 +8,7 @@ import pytest
 import cphi.verify
 from cphi import cli
 from cphi.cli import main
+from cphi.gauss_sums import gauss_sum_numeric
 from oracles import monomial
 
 
@@ -106,6 +107,16 @@ def test_gauss_agreement(capsys):
     assert payload["level-closed-form"] == "-25*sqrt(5)"
 
 
+def test_gauss_text_prints_oracle_as_two_reprs(capsys):
+    code, out, _ = run_cli(capsys, "gauss", "--dim", "4", "--a", "1", "--c", "5")
+    assert code == 0
+    oracle = gauss_sum_numeric(4, 1, 5)
+    assert f"oracle: {oracle.real!r} {oracle.imag!r}" in out.splitlines()
+    code, out, _ = run_cli(capsys, "gauss", "--dim", "12", "--a", "1", "--c", "13")
+    assert code == 0
+    assert "oracle: None" in out.splitlines()
+
+
 def test_gauss_guard_falls_back_to_closed_form(capsys):
     code, out, _ = run_cli(
         capsys, "gauss", "--dim", "12", "--a", "1", "--c", "13", "--format", "json"
@@ -198,7 +209,7 @@ README_EXAMPLES = [
     ("expand --series cphi --N 1 --nmax 10", 0, "bef657488167ea0cbbab03656621e4231e44e53e12cd8fca9ea783752c36aecd"),
     ("expand --series eta --N 5 --d 1 --nmax 20", 0, "8dd8de422dbfdadd419902888d0629e470dfd4990123ec412a207dd4741ce185"),
     ("expand --series vr --r 13 --nmax 40", 0, "7cad7159e10bfc32895e2a60c4c1990a455173709e3a6170347d8e706bb1baf9"),
-    ("gauss --dim 4 --a 1 --c 5", 0, "ddbf111e28232f76cab575bf43498e2808e287629bb77a02d54668dbcded1deb"),
+    ("gauss --dim 4 --a 1 --c 5", 0, "4b6ca38c3e93a02db836f24340079b7993434b404bb5f985a0805b0155739ac1"),
     ("bernoulli --k 2 --N 5", 0, "4817e0a234e0e462e31986ee3d8a6976ef70d0808e723d71954167f7b19c5195"),
     ("ratios --N 13 --nmax 200", 0, "55245b1b1303155c924c100eb324ebc14ce33dea55cd948370e79c8ad7099823"),
     ("table --which b1", 0, "83193eadfd68e70ecfb46740c8d6dc69c0a46cccfba67ea26fb638d5aac78a45"),

@@ -4,11 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from cphi.qseries import QSeries, _convolve, eta_power, euler_coefficients, euler_product
+from cphi.qseries import (
+    QSeries,
+    _convolve,
+    eta_power,
+    euler_coefficients,
+    euler_product,
+    times_eta_power,
+)
 from cphi.theta import theta_series
 from cphi.verify import main_term_series
 from oracles import (
     convolve_schoolbook,
+    eta_power_miller,
     euler_coefficients_product,
     from_coefficients,
     from_json_dict,
@@ -164,8 +172,33 @@ def test_eta_power_matches_pow_and_inverse(k):
         base = QSeries(0, euler_coefficients_product(n), n)
         expected = base.pow(k) if k >= 0 else base.inverse().pow(-k)
         got = eta_power(k, n)
-        assert got == expected
+        assert got == expected == eta_power_miller(k, n)
         assert all(type(c) is int for c in got.coeffs)
+    if k in (-13, -5, -1, 5, 13):
+        assert eta_power(k, 2000) == eta_power_miller(k, 2000)
+
+
+def test_times_eta_power_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(
+        st.integers(-(10**30), 10**30), st.fractions(max_denominator=10**6), st.just(0)
+    )
+
+    @st.composite
+    def series(draw):
+        trunc = draw(st.integers(0, 60))
+        valuation = draw(st.integers(0, min(3, trunc)))
+        size = trunc - valuation + 1
+        return QSeries(valuation, draw(st.lists(coefficient, min_size=size, max_size=size)), trunc)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(series(), st.integers(-6, 6))
+    def check(s, k):
+        assert times_eta_power(s, k) == (s * eta_power_miller(k, s.trunc)).crop(s.trunc)
+        assert times_eta_power(times_eta_power(s, k), -k) == s
+
+    check()
 
 
 def test_eta_power_rejects_negative_truncation():

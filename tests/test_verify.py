@@ -9,7 +9,7 @@ import cphi.theta
 import cphi.verify
 from cphi.eta_partition import partition_count
 from cphi.qseries import QSeries
-from cphi.theta import cphi_series
+from cphi.theta import cphi_series, theta_series
 from cphi.verify import (
     asymptotic_ratios,
     correction_series,
@@ -20,7 +20,7 @@ from cphi.verify import (
     run_verification,
     sturm_bound,
 )
-from oracles import correction_series_by_division, monomial
+from oracles import correction_series_by_division, eta_power_miller, monomial
 
 
 def test_sturm_bounds():
@@ -176,21 +176,65 @@ def test_correction_series_matches_division_route(level, n_max):
     assert b.coefficients() == old.coefficients()
 
 
-def test_verify_computes_eta_power_minus_n_once(monkeypatch):
-    level, n_max = 13, 47
-    calls = []
-    original = cphi.qseries.eta_power
+@pytest.mark.parametrize("level,n_max", [(5, 1600), (13, 600), (23, 200), (35, 200)])
+def test_cphi_and_residual_match_product_routes(level, n_max):
+    # the add-only passes against the products they replaced, with (q;q)^(+-N)
+    # from Miller's recurrence
+    theta, main = theta_series(level, n_max), main_term_series(level, n_max)
+    for got, old in (
+        (cphi_series(level, n_max), theta * eta_power_miller(-level, n_max)),
+        (residual_series(level, n_max),
+         theta - (eta_power_miller(level, n_max) * main).crop(n_max)),
+    ):
+        assert got.trunc == old.trunc == n_max
+        assert got.coefficients() == old.coefficients()
+        assert all(type(c) is int for c in got.coeffs)
 
-    def counting(k, trunc):
-        calls.append((k, trunc))
-        return original(k, trunc)
 
-    for module in (cphi.theta, cphi.verify, cphi.eta_partition):
-        monkeypatch.setattr(module, "eta_power", counting)
-    for cached in (cphi_series, correction_series, residual_series, main_term_series):
+def clear_series_caches():
+    for cached in (theta_series, cphi_series, main_term_series, residual_series,
+                   correction_series, eta13_series):
         cached.cache_clear()
+
+
+def test_verify_computes_eta_power_minus_n_once(monkeypatch):
+    # one verify divides theta by (q;q)^N once and multiplies main by (q;q)^N
+    # once, both as add-only passes: (q;q)^(+-N) itself is never built
+    level, n_max = 13, 47
+    passes, powers = [], []
+    times_eta_power, eta_power = cphi.qseries.times_eta_power, cphi.qseries.eta_power
+
+    def counting_passes(series, k):
+        passes.append(k)
+        return times_eta_power(series, k)
+
+    def counting_powers(k, trunc):
+        powers.append(k)
+        return eta_power(k, trunc)
+
+    for module in (cphi.qseries, cphi.theta, cphi.verify, cphi.eta_partition):
+        monkeypatch.setattr(module, "times_eta_power", counting_passes, raising=False)
+        monkeypatch.setattr(module, "eta_power", counting_powers, raising=False)
+    clear_series_caches()
     run_verification(level, n_max)
-    assert calls.count((-level, n_max)) == 1
+    assert passes.count(-level) == 1
+    assert passes.count(level) == 1
+    assert level not in powers and -level not in powers
+
+
+@pytest.mark.parametrize("level,n_max", [(5, 200), (13, 200), (35, 68)])
+def test_verify_runs_no_series_product(monkeypatch, level, n_max):
+    calls = []
+    convolve = cphi.qseries._convolve
+
+    def counting(a, b, out_len):
+        calls.append(out_len)
+        return convolve(a, b, out_len)
+
+    monkeypatch.setattr(cphi.qseries, "_convolve", counting)
+    clear_series_caches()
+    run_verification(level, n_max)
+    assert calls == []
 
 
 def test_residual_checks_fail_on_nonzero_residual(monkeypatch):
