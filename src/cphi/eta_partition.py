@@ -106,8 +106,8 @@ def scaled_partition_term(level: int, d: int, n: int) -> int:
     """(N/d) * P(N n / d^2 - (N^2 - d^2)/(24 d^2)) with the P convention."""
     if d < 1 or level % d:
         raise ValueError(f"d={d} does not divide N={level}")
-    arg = Fraction(level * n, d * d) - Fraction(level**2 - d**2, 24 * d * d)
-    return (level // d) * partition_count(arg)
+    arg, rem = divmod(24 * level * n - (level**2 - d**2), 24 * d * d)
+    return 0 if rem else (level // d) * partition_count(arg)
 
 
 def main_term(level: int, n: int) -> int:

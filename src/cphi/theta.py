@@ -2,14 +2,23 @@
 
 For x in Z^(N-1), y = (x, -sum x) lies in the root lattice A_{N-1} and
 |y|^2 = 2 theta(x), so the coefficient of q^n in f_{theta_{N-1}} counts zero-sum
-y in Z^N of norm 2n: the zeta-constant term of (sum_m zeta^m Q^(m^2))^N at
-Q^(2n).  theta_series runs a DP over the entries of y on (s, ss) = (partial
-sum, partial norm); the counts for one s are packed into one big integer, lane
-j holding ss = 2j + (s mod 2).  With r entries to come, which sum to -s, the
-norm ends at least ss + s^2/r, so lanes past 2n - ceil(s^2/r) are dropped; the
-counts at -s equal those at s, so only s >= 0 is kept; and the DP stops after
-ceil(N/2) entries, pairing those states with the ones after floor(N/2):
-theta = sum_s (2 - [s = 0]) P_s * P'_s, one big-integer (Kronecker) product per s.
+y in Z^N of norm 2n.  theta_series counts all y in Z^N with sum y = 0 mod N
+instead, and divides the surplus out.  If sum y = mN, then y = x + m(1,...,1)
+with x in A_{N-1} and |y|^2 = |x|^2 + N m^2; N is odd (coprime to 6), so the
+norm is even exactly when m is, and the counts at norm 2j are
+theta * sum_m q^(2N m^2).  The pass theta(j) -= 2 sum_{m>=1} theta(j - 2N m^2),
+walking j upwards, recovers theta.
+
+The DP runs over the entries of y and keeps only the partial sum mod N.  A
+residue t stands for t and -t, whose counts are equal, so there are N//2 + 1
+states; each is one big integer whose lane k counts partial norm k, for
+k = 0..2n.  An entry u moves t to t + u and the norm up by u^2, |u| <= v =
+isqrt(2n).  The DP stops after ceil(N/2) entries and pairs those states with
+the ones after floor(N/2) entries: sum_t (2 - [t = 0]) P_t * P'_t, one
+big-integer (Kronecker) product per residue.  Every vector counted in a lane
+read has entries in [-v, v], so a lane holds at most (2v+1)^N and is
+N * bits(2v+1) bits wide, rounded up to bytes.  Cost: ceil(N/2) layers of
+N//2 + 1 residues of v shifted adds each, on integers of (2n+1) lanes.
 """
 
 from __future__ import annotations
@@ -29,45 +38,29 @@ def theta_series(level: int, n_max: int) -> QSeries:
     validate_level(level)
     if n_max < 0:
         raise ValueError("negative truncation")
-    if level == 1:
-        return QSeries.one(n_max)
     v_cap = isqrt(2 * n_max)
-    # A lane counts distinct vectors with entries in [-v_cap, v_cap]: at most
-    # w**layers in a state and w**(N-1) in a product (N-1 entries fix a zero-sum
-    # y), w = 2 v_cap + 1, which lane_bits holds; a carry out of a lane, if any,
-    # could only move upward, away from the lanes read.
-    lane_bits = -(-(level - 1) * (2 * v_cap + 1).bit_length() // 8) * 8
-    low, high = level // 2, (level + 1) // 2
-
-    def lane_mask(s: int, rest: int, shift: int) -> int:
-        """Lanes at sum s that, moved up by `shift`, can still reach norm 2n."""
-        lanes = (2 * n_max + (-s * s // rest) - (s & 1)) // 2 + 1 - shift
-        return (1 << lane_bits * max(lanes, 0)) - 1
-
-    state = {0: 1}
-    for layer in range(1, high + 1):
-        rest = level - layer
-        nxt: dict = {}
-        for s, packed in state.items():
-            for u in range(v_cap + 1):
-                shift = ((s & 1) + u * u - ((s + u) & 1)) // 2
-                # steps +-u from s, and from its mirror -s, folded back to >= 0
-                targets = [s + u] + [s - u] * (0 < u <= s) + [u - s] * (0 < s <= u)
-                step = packed & lane_mask(min(targets), rest, shift)
-                step <<= lane_bits * shift
-                for t in targets:
-                    nxt[t] = nxt.get(t, 0) + step
-        state = {t: kept for t, p in nxt.items() if (kept := p & lane_mask(t, rest, 0))}
-        if layer == low:
+    lane_bits = -(-level * (2 * v_cap + 1).bit_length() // 8) * 8
+    lanes = 2 * n_max + 1
+    mask = (1 << lane_bits * lanes) - 1
+    residues = range(level // 2 + 1)
+    fold = {r: min(r % level, -r % level) for r in range(-v_cap, level // 2 + v_cap + 1)}
+    state = [1] + [0] * (level // 2)
+    for layer in range((level + 1) // 2):
+        if layer == level // 2:
             half = state
-    total = sum(
-        ((2 - (s == 0)) * p * half[s]) << lane_bits * (s & 1)
-        for s, p in state.items() if s in half
-    )
-    nbytes, lanes = lane_bits // 8, n_max + 1
-    data = (total & ((1 << lane_bits * lanes) - 1)).to_bytes(nbytes * lanes, "little")
+        state = [
+            (state[t] + sum((state[fold[t - u]] + state[fold[t + u]]) << lane_bits * u * u
+                            for u in range(1, v_cap + 1))) & mask
+            for t in residues
+        ]
+    total = sum((p * h) << (t != 0) for t, p, h in zip(residues, state, half)) & mask
+    nbytes = lane_bits // 8
+    data = total.to_bytes(nbytes * lanes, "little")
     coeffs = [int.from_bytes(data[i : i + nbytes], "little")
-              for i in range(0, len(data), nbytes)]
+              for i in range(0, len(data), 2 * nbytes)]
+    step = 2 * level
+    for j in range(step, n_max + 1):
+        coeffs[j] -= 2 * sum(coeffs[j - step * m * m] for m in range(1, isqrt(j // step) + 1))
     return QSeries(0, coeffs, n_max)
 
 

@@ -13,6 +13,7 @@ from itertools import product
 from math import comb, isqrt, pi
 
 from cphi.arith import validate_level
+from cphi.eta_partition import partition_count
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
 from cphi.qseries import QSeries, euler_product
 from cphi.radicals import QuarterRadical
@@ -130,6 +131,11 @@ def eta_power_miller(k: int, trunc: int) -> QSeries:
     return QSeries(0, b, trunc)
 
 
+def scaled_partition_term_fraction(level: int, d: int, n: int) -> int:
+    """scaled_partition_term by the two-Fraction formula it replaced."""
+    arg = Fraction(level * n, d * d) - Fraction(level**2 - d**2, 24 * d * d)
+    return (level // d) * partition_count(arg)
+
 def kronecker_factored(a: int, b: int) -> int:
     """Kronecker symbol via factorization of b and Euler's criterion.
 
@@ -241,6 +247,62 @@ def theta_series_lane_dp(level: int, n_max: int) -> QSeries:
             lane = int.from_bytes(data[ss * nbytes : (ss + 1) * nbytes], "little")
             if lane:
                 coeffs[(s2 + ss) // 2] += lane
+    return QSeries(0, coeffs, n_max)
+
+
+def theta_series_half_dp(level: int, n_max: int) -> QSeries:
+    """theta_series by the half-length DP it replaced, kept as a differential oracle.
+
+    A DP over the entries of y = (x, -sum x) on (s, ss) = (partial sum,
+    partial norm); the counts for one s are packed into one big integer, lane
+    j holding ss = 2j + (s mod 2).  With r entries to come, which sum to -s,
+    the norm ends at least ss + s^2/r, so lanes past 2n - ceil(s^2/r) are
+    dropped; the counts at -s equal those at s, so only s >= 0 is kept; and
+    the DP stops after ceil(N/2) entries, pairing those states with the ones
+    after floor(N/2): theta = sum_s (2 - [s = 0]) P_s * P'_s.
+    """
+    validate_level(level)
+    if n_max < 0:
+        raise ValueError("negative truncation")
+    if level == 1:
+        return QSeries.one(n_max)
+    v_cap = isqrt(2 * n_max)
+    # A lane counts distinct vectors with entries in [-v_cap, v_cap]: at most
+    # w**layers in a state and w**(N-1) in a product (N-1 entries fix a zero-sum
+    # y), w = 2 v_cap + 1, which lane_bits holds; a carry out of a lane, if any,
+    # could only move upward, away from the lanes read.
+    lane_bits = -(-(level - 1) * (2 * v_cap + 1).bit_length() // 8) * 8
+    low, high = level // 2, (level + 1) // 2
+
+    def lane_mask(s: int, rest: int, shift: int) -> int:
+        """Lanes at sum s that, moved up by `shift`, can still reach norm 2n."""
+        lanes = (2 * n_max + (-s * s // rest) - (s & 1)) // 2 + 1 - shift
+        return (1 << lane_bits * max(lanes, 0)) - 1
+
+    state = {0: 1}
+    for layer in range(1, high + 1):
+        rest = level - layer
+        nxt: dict = {}
+        for s, packed in state.items():
+            for u in range(v_cap + 1):
+                shift = ((s & 1) + u * u - ((s + u) & 1)) // 2
+                # steps +-u from s, and from its mirror -s, folded back to >= 0
+                targets = [s + u] + [s - u] * (0 < u <= s) + [u - s] * (0 < s <= u)
+                step = packed & lane_mask(min(targets), rest, shift)
+                step <<= lane_bits * shift
+                for t in targets:
+                    nxt[t] = nxt.get(t, 0) + step
+        state = {t: kept for t, p in nxt.items() if (kept := p & lane_mask(t, rest, 0))}
+        if layer == low:
+            half = state
+    total = sum(
+        ((2 - (s == 0)) * p * half[s]) << lane_bits * (s & 1)
+        for s, p in state.items() if s in half
+    )
+    nbytes, lanes = lane_bits // 8, n_max + 1
+    data = (total & ((1 << lane_bits * lanes) - 1)).to_bytes(nbytes * lanes, "little")
+    coeffs = [int.from_bytes(data[i : i + nbytes], "little")
+              for i in range(0, len(data), nbytes)]
     return QSeries(0, coeffs, n_max)
 
 

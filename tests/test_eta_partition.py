@@ -18,7 +18,12 @@ from cphi.eta_partition import (
 from cphi.qseries import QSeries, eta_power, euler_product
 from cphi.radicals import QuarterRadical
 from cphi.verify import main_term_series
-from oracles import multi_partition_sigma_route, partitions_brute, u_operator
+from oracles import (
+    multi_partition_sigma_route,
+    partitions_brute,
+    scaled_partition_term_fraction,
+    u_operator,
+)
 
 
 def test_spec_prefix_exponents():
@@ -155,6 +160,16 @@ def test_scaled_partition_terms():
     assert scaled_partition_term(13, 13, 26) == 2  # P(2)
     assert scaled_partition_term(35, 5, 1) == 0  # non-integral argument
     assert main_term(13, 1) == 143
+
+
+def test_scaled_partition_term_matches_fraction_formula():
+    # small n make the argument negative for every d < N (n = 0 for N = 5,
+    # d = 1 gives 5n - 1), and d > 1 makes it non-integral for most n
+    for level in (1, 5, 7, 11, 13, 35):
+        for d in divisors(level):
+            for n in range(-2, 301):
+                expected = scaled_partition_term_fraction(level, d, n)
+                assert scaled_partition_term(level, d, n) == expected, (level, d, n)
 
 
 def test_multi_partition_series():

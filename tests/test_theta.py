@@ -1,13 +1,19 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from cphi.arith import divisors
+from cphi.arith import divisors, is_squarefree
 from cphi.eta_partition import partition_count
 from cphi.gauss_sums import gauss_sum_closed
 from cphi.radicals import QuarterRadical
 from cphi.theta import cphi_series, theta_cusp_constant, theta_series
-from oracles import cphi_constant_term, theta_counts_dfs, theta_series_lane_dp
+from oracles import (
+    cphi_constant_term,
+    theta_counts_dfs,
+    theta_series_half_dp,
+    theta_series_lane_dp,
+)
 
 
 def test_theta_series_small_values():
@@ -39,6 +45,27 @@ def test_theta_matches_lane_dp(level, n_max):
     assert len(new) == len(old) == n_max + 1
     for n, (a, b) in enumerate(zip(new, old)):
         assert a == b, (level, n)
+
+
+LEVELS = [n for n in range(1, 36) if gcd(n, 6) == 1 and is_squarefree(n)]
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_theta_matches_both_oracles_where_the_coset_terms_enter(level):
+    # the lanes hold theta * sum_m q^(2N m^2): m = 1 enters at n = 2N, m = 2 at
+    # 8N.  Both oracles run once at 8N+1; their coefficients do not depend on
+    # the truncation, while theta_series' lane width and entry range do.
+    top = 8 * level + 1
+    half = theta_series_half_dp(level, top).coefficients()
+    assert theta_series_lane_dp(level, top).coefficients() == half
+    for n in (0, 1, 2 * level - 1, 2 * level, 2 * level + 1, 8 * level, top):
+        assert theta_series(level, n).coefficients() == half[: n + 1], (level, n)
+
+
+@pytest.mark.parametrize("level,n_max", [(5, 1600), (13, 600), (35, 200)])
+def test_theta_matches_half_dp_at_workload_sizes(level, n_max):
+    new = theta_series(level, n_max).coefficients()
+    assert new == theta_series_half_dp(level, n_max).coefficients()
 
 
 def test_theta_rejects_negative_truncation():
