@@ -136,6 +136,7 @@ def scaled_partition_term_fraction(level: int, d: int, n: int) -> int:
     arg = Fraction(level * n, d * d) - Fraction(level**2 - d**2, 24 * d * d)
     return (level // d) * partition_count(arg)
 
+
 def kronecker_factored(a: int, b: int) -> int:
     """Kronecker symbol via factorization of b and Euler's criterion.
 
