@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import factorial
 
 from .arith import divisors, is_squarefree, prime_factors, validate_level
-from .qseries import QSeries
 from .radicals import QuarterRadical
 
 
@@ -109,7 +108,8 @@ def bernoulli_chi(k: int, level: int) -> Fraction:
     """Generalized Bernoulli number B_{k, chi_level} by exact series division.
 
     Expands sum_{a=1}^{N} chi_N(a) t e^{at} / (e^{Nt} - 1) as a power series
-    in t with rational coefficients and reads off k! times the t^k term.
+    in t with rational coefficients and reads off k! times the t^k term.  The
+    division is term by term: b_n = (num_n - sum_{j>=1} den_j b_{n-j}) / den_0.
     The N = 1 case reproduces the classical numbers with B_1 = +1/2.
     """
     if k < 0 or k > BERNOULLI_INDEX_BOUND:
@@ -125,13 +125,13 @@ def bernoulli_chi(k: int, level: int) -> Fraction:
             for j in range(k + 1):
                 power_sums[j] += ca * aj
                 aj *= a
-    num = QSeries(0, [Fraction(s, factorial(j)) for j, s in enumerate(power_sums)], k)
+    num = [Fraction(s, factorial(j)) for j, s in enumerate(power_sums)]
     # denominator: (e^{Nt} - 1)/t = sum_j N^{j+1} t^j / (j+1)!
-    den = QSeries(
-        0, [Fraction(level ** (j + 1), factorial(j + 1)) for j in range(k + 1)], k
-    )
-    series = num * den.inverse()
-    return Fraction(series.coefficient(k)) * factorial(k)
+    den = [Fraction(level ** (j + 1), factorial(j + 1)) for j in range(k + 1)]
+    b = []
+    for n in range(k + 1):
+        b.append((num[n] - sum(den[j] * b[n - j] for j in range(1, n + 1))) / den[0])
+    return b[k] * factorial(k)
 
 
 def sigma_twisted(k: int, level: int, d: int, n: int) -> int:

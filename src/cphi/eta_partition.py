@@ -14,7 +14,7 @@ from math import gcd
 
 from .arith import divisors, validate_level
 from .characters import kronecker
-from .qseries import QSeries, eta_power
+from .qseries import QSeries, eta_power, times_eta_power
 from .radicals import QuarterRadical
 
 
@@ -40,17 +40,23 @@ class EtaQuotientSpec:
 
 
 def eta_quotient_series(level: int, d: int, n_max: int) -> QSeries:
-    """Exact expansion of eta((N/d)z)^N / eta(dz) through q**n_max."""
+    """Exact expansion of eta((N/d)z)^N / eta(dz) through q**n_max.
+
+    The numerator is eta_power(N) in q**(N/d).  (q^d;q^d) is a series in q**d,
+    so dividing by it acts on each residue class of exponents mod d on its
+    own: every class is one times_eta_power(., -1) pass.
+    """
     spec = EtaQuotientSpec(level, d)
     prefix = spec.prefix_exponent
     if prefix > n_max:
         return QSeries.zero(n_max)
     rest = n_max - prefix
     m = level // d
-    numerator = eta_power(level, rest // m).rescale(m)
-    denominator_inv = eta_power(-1, rest // d).rescale(d)
-    series = (numerator * denominator_inv).crop(rest)
-    return series.shift(prefix)
+    coeffs = eta_power(level, rest // m).rescale(m).crop(rest).coefficients()
+    for r in range(min(d, rest + 1)):
+        part = coeffs[r::d]
+        coeffs[r::d] = times_eta_power(QSeries(0, part, len(part) - 1), -1).coefficients()
+    return QSeries(0, coeffs, rest).shift(prefix)
 
 
 def cusp_vanishing_order(level: int, d: int, c: int) -> Fraction:

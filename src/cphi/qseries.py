@@ -6,17 +6,15 @@ pessimistically: a returned coefficient is either exact or absent, never
 approximate.  Coefficients are Python ints where integral and Fraction
 otherwise; the two mix transparently.
 
-Every product of two series is one Kronecker substitution: both coefficient
-lists are evaluated at 2**L, the two integers are multiplied once, and the
-coefficients are read back as L-bit lanes.  L is wide enough that no lane of
-the product can overflow (see _convolve), so the result is exact.  A factor
-(q;q)_infinity**k needs no product: times_eta_power adds over its pentagonal terms.
+Every eta factor (q^d;q^d)_infinity**k is applied without a product:
+times_eta_power adds over the pentagonal terms of (q;q), and a series in q**d
+acts on each residue class of exponents mod d on its own.  The product of two
+series is the plain truncated double loop; pow and the tests use it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 
 def _as_exact(x):
@@ -27,40 +25,14 @@ def _as_exact(x):
     raise TypeError(f"coefficient must be int or Fraction, got {type(x).__name__}")
 
 
-def _pack(xs: list, nbytes: int) -> int:
-    """sum_i xs[i] * 2**(8 nbytes i) for ints with |xs[i]| < 2**(8 nbytes)."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(nbytes, "little") for x in xs)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(nbytes, "little") for x in xs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 def _convolve(a, b, out_len: int) -> list:
-    """Product of coefficient lists, truncated to out_len entries.
-
-    Kronecker substitution: a(2**L) * b(2**L) is one big-integer multiply,
-    and coefficient i is lane i of the product, with lane width L - 1 >=
-    bits(max|a|) + bits(max|b|) + bits(min(len a, len b)).  Fraction operands
-    are first scaled to integers by the lcm of their denominators.
-    """
-    a, b = a[:out_len], b[:out_len]
-    da = lcm(*(x.denominator for x in a))
-    db = lcm(*(x.denominator for x in b))
-    a = [x.numerator * (da // x.denominator) for x in a]
-    b = [x.numerator * (db // x.denominator) for x in b]
-    # With m = min(len a, len b), |c_i| <= m max|a| max|b| < 2**bits, so a lane
-    # of L >= bits + 1 bits holds c_i + 2**(L-1) in [0, 2**L): with that bias
-    # in every lane no lane borrows from the next.  Lanes at or past out_len
-    # are multiples of 2**(L out_len) and vanish under the mask.
-    bits = (max(map(abs, a), default=0).bit_length()
-            + max(map(abs, b), default=0).bit_length() + min(len(a), len(b)).bit_length())
-    nbytes = bits // 8 + 1
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * out_len, "little")
-    total = (_pack(a, nbytes) * _pack(b, nbytes) + bias) & ((1 << 8 * nbytes * out_len) - 1)
-    data = total.to_bytes(nbytes * out_len, "little")
-    out = [int.from_bytes(data[i : i + nbytes], "little") - half
-           for i in range(0, len(data), nbytes)]
-    return out if da * db == 1 else [Fraction(c, da * db) for c in out]
+    """Product of coefficient lists, truncated to out_len entries."""
+    out = [0] * out_len
+    for i, x in enumerate(a[:out_len]):
+        if x:
+            for j, y in enumerate(b[: out_len - i]):
+                out[i + j] += x * y
+    return out
 
 
 class QSeries:

@@ -357,6 +357,8 @@ def run_verification(
     validate_level(level)
     if n_max < 1:
         raise ValueError("verification needs nMax >= 1")
+    if not 0 < ratio_tolerance < float("inf"):
+        raise ValueError(f"ratio tolerance must be positive and finite, got {ratio_tolerance}")
     ratios, _ = asymptotic_ratios(level, n_max)
     report = VerificationReport(
         level=level,

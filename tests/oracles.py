@@ -10,10 +10,11 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from itertools import product
-from math import comb, isqrt, pi
+from math import comb, factorial, isqrt, pi
 
 from cphi.arith import validate_level
-from cphi.eta_partition import partition_count
+from cphi.characters import chi
+from cphi.eta_partition import EtaQuotientSpec, partition_count
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
 from cphi.qseries import QSeries, euler_product
 from cphi.radicals import QuarterRadical
@@ -129,6 +130,22 @@ def eta_power_miller(k: int, trunc: int) -> QSeries:
             acc += (kj - aj * n) * b[n - j]
         b.append(acc // n)
     return QSeries(0, b, trunc)
+
+
+def eta_quotient_by_product(level: int, d: int, n_max: int) -> QSeries:
+    """eta_quotient_series by the series product it used before the residue-class passes.
+
+    The numerator (q^(N/d);q^(N/d))^N times 1/(q^d;q^d), both rescaled from
+    Miller's recurrence, so that no pentagonal pass is involved.
+    """
+    prefix = EtaQuotientSpec(level, d).prefix_exponent
+    if prefix > n_max:
+        return QSeries.zero(n_max)
+    rest = n_max - prefix
+    m = level // d
+    numerator = eta_power_miller(level, rest // m).rescale(m)
+    denominator_inv = eta_power_miller(-1, rest // d).rescale(d)
+    return (numerator * denominator_inv).crop(rest).shift(prefix)
 
 
 def scaled_partition_term_fraction(level: int, d: int, n: int) -> int:
@@ -420,3 +437,21 @@ def multi_partition_sigma_route(r: int, n_max: int) -> list:
         total = r * sum(sigma[k] * coeffs[n - k] for k in range(1, n + 1))
         coeffs[n] = total // n
     return coeffs
+
+
+def bernoulli_chi_series_route(k: int, level: int) -> Fraction:
+    """bernoulli_chi by QSeries.inverse and one product, the route before term-by-term division."""
+    power_sums = [0] * (k + 1)
+    for a in range(1, level + 1):
+        ca = chi(level, a)
+        if ca:
+            aj = 1
+            for j in range(k + 1):
+                power_sums[j] += ca * aj
+                aj *= a
+    num = QSeries(0, [Fraction(s, factorial(j)) for j, s in enumerate(power_sums)], k)
+    den = QSeries(
+        0, [Fraction(level ** (j + 1), factorial(j + 1)) for j in range(k + 1)], k
+    )
+    series = num * den.inverse()
+    return Fraction(series.coefficient(k)) * factorial(k)

@@ -7,6 +7,7 @@ import pytest
 from cphi import characters
 from cphi.arith import divisors
 from cphi.characters import (
+    BERNOULLI_INDEX_BOUND,
     bernoulli_chi,
     chi,
     context,
@@ -18,7 +19,11 @@ from cphi.characters import (
     unit_a,
 )
 from cphi.radicals import QuarterRadical
-from oracles import bernoulli_chi_polynomial_route, kronecker_factored
+from oracles import (
+    bernoulli_chi_polynomial_route,
+    bernoulli_chi_series_route,
+    kronecker_factored,
+)
 
 
 def test_kronecker_spec_values():
@@ -159,6 +164,12 @@ def test_bernoulli_against_polynomial_route():
             assert bernoulli_chi(k, level) == bernoulli_chi_polynomial_route(
                 k, level, chi
             ), (k, level)
+
+
+@pytest.mark.parametrize("level", [1, 5, 13, 35])
+def test_bernoulli_matches_series_route(level):
+    for k in range(BERNOULLI_INDEX_BOUND + 1):
+        assert bernoulli_chi(k, level) == bernoulli_chi_series_route(k, level), k
 
 
 def test_bernoulli_known_value_and_nonvanishing():

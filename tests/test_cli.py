@@ -280,3 +280,24 @@ def test_table_kolitsch_fails_on_nonzero_residual(capsys, monkeypatch):
     assert code == 1
     assert [r["residual_zero"] for r in json.loads(out)] == [False, False, False]
     assert "N=5: residual has a nonzero coefficient at n=3" in err
+
+
+@pytest.mark.parametrize("level", ["5", "13"])
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+def test_verify_rejects_bad_ratio_tolerance(capsys, level, tolerance):
+    code, out, err = run_cli(
+        capsys, "verify", "--N", level, "--nmax", "20", "--ratio-tolerance", tolerance
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ratio tolerance must be positive and finite")
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_accepts_small_ratio_tolerance(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--N", "13", "--nmax", "200", "--ratio-tolerance", "0.001"
+    )
+    assert code == 0
+    assert "  [PASS] asymptotic-tolerance: |r(200)-1| = 0.000000000000 < 0.001\n" in out
+    assert err == ""

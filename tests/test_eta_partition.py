@@ -19,6 +19,7 @@ from cphi.qseries import QSeries, eta_power, euler_product
 from cphi.radicals import QuarterRadical
 from cphi.verify import main_term_series
 from oracles import (
+    eta_quotient_by_product,
     multi_partition_sigma_route,
     partitions_brute,
     scaled_partition_term_fraction,
@@ -60,6 +61,17 @@ def test_eta_quotient_identity_at_d_equals_level():
         )
         rhs = (euler_product(40).pow(level) * partition_side).crop(40)
         assert lhs == rhs, level
+
+
+@pytest.mark.parametrize("level", [1, 5, 7, 11, 13, 35])
+def test_eta_quotient_matches_product_route(level):
+    # n_max = prefix - 1 is the zero series; below prefix + d - 1 some residue
+    # classes mod d are empty
+    for d in divisors(level):
+        prefix = EtaQuotientSpec(level, d).prefix_exponent
+        for n_max in [*range(max(prefix - 1, 0), prefix + d + 3), 300]:
+            expected = eta_quotient_by_product(level, d, n_max)
+            assert eta_quotient_series(level, d, n_max) == expected, (level, d, n_max)
 
 
 def test_leading_power_equals_prefix():

@@ -88,9 +88,9 @@ def test_convolve_edge_operands():
 @pytest.mark.parametrize("j", range(2, 10))
 def test_convolve_worst_case_lane(j, sign):
     # m = 2**j - 1 coefficients, all at +-max, give |c_{m-1}| = m * max**2, the
-    # lane bound, and 2**(bits - 1) <= m * max**2 < 2**bits: a lane one bit
-    # narrower than bits + 1 overflows here whenever the byte rounding leaves
-    # no spare bit, and j = 2..9 makes bits hit every residue mod 8
+    # largest a product of these lengths and sizes can reach: every output
+    # coefficient is a sum at the extreme magnitude, in both signs, for
+    # operands of 3 to 511 terms
     top = 2**330 - 1
     m = 2**j - 1
     got = _convolve([top] * m, [sign * top] * m, 2 * m - 1)

@@ -7,7 +7,9 @@ import cphi.eta_partition
 import cphi.qseries
 import cphi.theta
 import cphi.verify
-from cphi.eta_partition import partition_count
+from cphi.arith import divisors
+from cphi.characters import bernoulli_chi
+from cphi.eta_partition import eta_quotient_series, multi_partition_series, partition_count
 from cphi.qseries import QSeries
 from cphi.theta import cphi_series, theta_series
 from cphi.verify import (
@@ -234,6 +236,26 @@ def test_verify_runs_no_series_product(monkeypatch, level, n_max):
     monkeypatch.setattr(cphi.qseries, "_convolve", counting)
     clear_series_caches()
     run_verification(level, n_max)
+    assert calls == []
+
+
+def test_eta_factors_run_no_series_product(monkeypatch):
+    # every (q^d;q^d)^k factor is a pentagonal pass, and bernoulli_chi divides
+    # plain Fraction lists: none of them reaches the series product
+    calls = []
+    convolve = cphi.qseries._convolve
+
+    def counting(a, b, out_len):
+        calls.append(out_len)
+        return convolve(a, b, out_len)
+
+    monkeypatch.setattr(cphi.qseries, "_convolve", counting)
+    for level in (5, 13, 35):
+        for d in divisors(level):
+            eta_quotient_series(level, d, 120)
+        bernoulli_chi.__wrapped__((level - 1) // 2, level)
+    multi_partition_series(13, 200)
+    eta13_series.__wrapped__(200)
     assert calls == []
 
 
