@@ -309,7 +309,7 @@ def _asymptotic(level, n_max, tol):
         f"|r({n_max})-1| = {decimal_str(devN)} vs |r({quarter})-1| = {decimal_str(devQ)}",
     )
     if level == 13:
-        tol = Fraction(tol).limit_denominator(10**9)
+        tol = Fraction(str(tol))  # the float's shortest decimal: 0.1 is 1/10, 1e-10 stays nonzero
         yield CheckResult(
             "asymptotic-tolerance",
             devN < tol,

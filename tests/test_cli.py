@@ -294,10 +294,12 @@ def test_verify_rejects_bad_ratio_tolerance(capsys, level, tolerance):
     assert len(err.splitlines()) == 1
 
 
-def test_verify_accepts_small_ratio_tolerance(capsys):
+@pytest.mark.parametrize("tolerance", ["0.001", "1e-10"])
+def test_verify_accepts_small_ratio_tolerance(capsys, tolerance):
+    # 1e-10 must stay nonzero when the check turns the float into a Fraction
     code, out, err = run_cli(
-        capsys, "verify", "--N", "13", "--nmax", "200", "--ratio-tolerance", "0.001"
+        capsys, "verify", "--N", "13", "--nmax", "200", "--ratio-tolerance", tolerance
     )
     assert code == 0
-    assert "  [PASS] asymptotic-tolerance: |r(200)-1| = 0.000000000000 < 0.001\n" in out
+    assert f"  [PASS] asymptotic-tolerance: |r(200)-1| = 0.000000000000 < {tolerance}\n" in out
     assert err == ""

@@ -13,15 +13,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tracer():
+def test_tracer_names_resolve():
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer
-
-
-def test_tracer_names_resolve():
-    tracer = load_tracer()
     for name, (module, attr) in tracer.FUNCTIONS.items():
         value = getattr(importlib.import_module(module), attr, None)
         assert callable(value), f"{name}: {module}.{attr} is missing"
