@@ -5,7 +5,8 @@ from __future__ import annotations
 from math import gcd
 
 # All radicands and moduli in this project are desk scale (divisors of
-# levels up to ~1000 and their products), so trial division is plenty.
+# levels up to ~1000 and their products), so trial division is plenty; a
+# cofactor with no factor up to the limit is refused, not called prime.
 TRIAL_DIVISION_LIMIT = 10**6
 
 
@@ -28,7 +29,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
-    out = []
+    original, out = n, []
     for p in (2, 3):
         if n % p == 0:
             e = 0
@@ -39,7 +40,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     f = 5
     while f * f <= n:
         if f > TRIAL_DIVISION_LIMIT:
-            break
+            raise ValueError(f"cannot factorize {original}: cofactor {n} has no factor "
+                             f"up to the trial-division limit {TRIAL_DIVISION_LIMIT}")
         if n % f == 0:
             e = 0
             while n % f == 0:

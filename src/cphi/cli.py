@@ -260,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_n=True):
-        if with_n:
-            p.add_argument("--N", type=int, required=False, default=None)
+    def add_common(p):
+        p.add_argument("--N", type=int, required=False, default=None)
         p.add_argument("--nmax", type=int, default=200)
         p.add_argument(
             "--format", choices=("json", "csv", "text"), default="text"
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     add_common(p)
-    p.set_defaults(func=_cmd_expand, needs_n=True)
+    p.set_defaults(func=_cmd_expand, needs_n=False)
 
     p = sub.add_parser("gauss", help="evaluate a quadratic Gauss sum")
     p.add_argument("--dim", type=int, required=True)
@@ -314,9 +313,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_threads_env()
-        if getattr(args, "needs_n", False) and args.command != "expand":
-            if args.N is None:
-                raise UsageError(f"{args.command} requires --N")
+        if args.needs_n and args.N is None:
+            raise UsageError(f"{args.command} requires --N")
         if args.command == "expand" and args.series != "vr" and args.N is None:
             raise UsageError("expand requires --N for this series")
         return args.func(args)

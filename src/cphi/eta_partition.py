@@ -42,21 +42,15 @@ class EtaQuotientSpec:
 def eta_quotient_series(level: int, d: int, n_max: int) -> QSeries:
     """Exact expansion of eta((N/d)z)^N / eta(dz) through q**n_max.
 
-    The numerator is eta_power(N) in q**(N/d).  (q^d;q^d) is a series in q**d,
-    so dividing by it acts on each residue class of exponents mod d on its
-    own: every class is one times_eta_power(., -1) pass.
+    Two eta factors applied to 1: (q^(N/d);q^(N/d))^N, then 1/(q^d;q^d),
+    each by times_eta_power with its own d.
     """
     spec = EtaQuotientSpec(level, d)
     prefix = spec.prefix_exponent
     if prefix > n_max:
         return QSeries.zero(n_max)
-    rest = n_max - prefix
-    m = level // d
-    coeffs = eta_power(level, rest // m).rescale(m).crop(rest).coefficients()
-    for r in range(min(d, rest + 1)):
-        part = coeffs[r::d]
-        coeffs[r::d] = times_eta_power(QSeries(0, part, len(part) - 1), -1).coefficients()
-    return QSeries(0, coeffs, rest).shift(prefix)
+    numerator = times_eta_power(QSeries.one(n_max - prefix), level, level // d)
+    return times_eta_power(numerator, -1, d).shift(prefix)
 
 
 def cusp_vanishing_order(level: int, d: int, c: int) -> Fraction:

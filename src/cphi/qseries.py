@@ -6,10 +6,13 @@ pessimistically: a returned coefficient is either exact or absent, never
 approximate.  Coefficients are Python ints where integral and Fraction
 otherwise; the two mix transparently.
 
-Every eta factor (q^d;q^d)_infinity**k is applied without a product:
-times_eta_power adds over the pentagonal terms of (q;q), and a series in q**d
-acts on each residue class of exponents mod d on its own.  The product of two
-series is the plain truncated double loop; pow and the tests use it.
+Every eta factor (q^d;q^d)_infinity**k is applied by one primitive,
+times_eta_power(series, k, d), without a product.  (q^d;q^d) is a series in
+q**d, so it maps the coefficients at exponents = r mod d only to exponents = r
+mod d: each residue class is a series in its own right, and the factor acts
+on it as (q;q)**k does, by |k| add-only passes over the pentagonal terms.
+The product of two series is the plain truncated double loop; pow and the
+tests use it.
 """
 
 from __future__ import annotations
@@ -110,9 +113,6 @@ class QSeries:
             return NotImplemented
         return self.trunc == other.trunc and self.coefficients() == other.coefficients()
 
-    def __hash__(self):
-        return hash((self.trunc, tuple(self.coefficients())))
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         more = ", ..." if len(self.coeffs) > 6 else ""
@@ -200,14 +200,6 @@ class QSeries:
 
     # -- substitution operators --------------------------------------------
 
-    def rescale(self, m: int) -> "QSeries":
-        """Substitute q -> q**m."""
-        if m < 1:
-            raise ValueError("rescale requires m >= 1")
-        out = [0] * (len(self.coeffs) * m)
-        out[::m] = self.coeffs
-        return QSeries(self.valuation * m, out, (self.trunc + 1) * m - 1)
-
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k."""
         if k < 0:
@@ -265,28 +257,38 @@ def euler_product(trunc: int) -> QSeries:
     return QSeries(0, list(euler_coefficients(trunc)), trunc)
 
 
-def times_eta_power(series: QSeries, k: int) -> QSeries:
-    """series * (q;q)_infinity**k exact through series.trunc, for any integer k.
+def times_eta_power(series: QSeries, k: int, d: int = 1) -> QSeries:
+    """series * (q^d;q^d)_infinity**k exact through series.trunc, for any integer k.
 
-    (q;q) = 1 + sum a_j q**j, a_j = +-1 at the O(sqrt n) pentagonal j > 0, so each
-    of the |k| passes only adds: a product walks n down, c_n += sum_j a_j c_{n-j}
-    with c_{n-j} not yet updated; a quotient walks n up, c_n -= the same sum.
+    (q^d;q^d) = 1 + sum a_j q**(d j) acts on each residue class c[r::d] of the
+    coefficients on its own, as (q;q) does on a series; a class with no
+    nonzero coefficient stays zero and is skipped.  a_j = +-1 at the O(sqrt n)
+    pentagonal j > 0, so each of the |k| passes over a class only adds: a
+    product walks n down, c_n += sum_j a_j c_{n-j} with c_{n-j} not yet
+    updated; a quotient walks n up, c_n -= the same sum.
     """
+    if d < 1:
+        raise ValueError(f"(q^d;q^d) needs d >= 1, got d={d}")
     c = list(series.coeffs)
-    a = euler_coefficients(max(len(c) - 1, 0))
+    a = euler_coefficients(max((len(c) - 1) // d, 0))
     plus, minus = ([j for j in range(1, len(a)) if a[j] == sign] for sign in (1, -1))
-    for _ in range(abs(k)):
-        for n in range(len(c) - 1, 0, -1) if k > 0 else range(1, len(c)):
-            acc = 0
-            for j in plus:
-                if j > n:
-                    break
-                acc += c[n - j]
-            for j in minus:
-                if j > n:
-                    break
-                acc -= c[n - j]
-            c[n] += acc if k > 0 else -acc
+    for r in range(min(d, len(c))):
+        part = c[r::d]
+        if not any(part):
+            continue
+        for _ in range(abs(k)):
+            for n in range(len(part) - 1, 0, -1) if k > 0 else range(1, len(part)):
+                acc = 0
+                for j in plus:
+                    if j > n:
+                        break
+                    acc += part[n - j]
+                for j in minus:
+                    if j > n:
+                        break
+                    acc -= part[n - j]
+                part[n] += acc if k > 0 else -acc
+        c[r::d] = part
     return QSeries(series.valuation, c, series.trunc)
 
 

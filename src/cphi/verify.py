@@ -1,11 +1,11 @@
 """Theorem-level verification: residual and b series, one table of checks, reports.
 
-The residual C = f_theta - (q;q)^N * (partition side) is computed as a
-difference of two independently derived exact series (lattice counting vs.
-partition numbers), never through the Eisenstein decomposition.  The
-correction b(n) is what the main identity
+The correction b(n) is what the main identity
 cphi_N(n) = sum_d (N/d) P(N n/d^2 - (N^2-d^2)/(24 d^2)) + b(n) defines it to
-be, cphi minus the partition side; it equals C / (q;q)^N.
+be, cphi minus the partition side: the difference of two independently
+derived exact series (lattice counting vs. partition numbers), never the
+Eisenstein decomposition.  The residual is the cusp form as the paper
+defines it, C = (q;q)^N * sum b(n) q^n.
 
 The checks are one ordered table, CHECKS, of small generator functions of
 (level, nMax, ratio tolerance), each yielding its results, none when it does
@@ -24,9 +24,9 @@ from functools import lru_cache
 
 from .arith import prime_factors, validate_level
 from .eta_partition import main_term, partition_numbers
-from .qseries import QSeries, euler_product, times_eta_power
+from .qseries import QSeries, times_eta_power
 from .radicals import rational_str
-from .theta import cphi_series, theta_series
+from .theta import cphi_series
 
 KOLITSCH_LEVELS = (5, 7, 11)
 ZERO_RESIDUAL_LEVELS = (1, 5, 7, 11)
@@ -64,13 +64,16 @@ def main_term_series(level: int, n_max: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def residual_series(level: int, n_max: int) -> QSeries:
-    """C = f_theta - (q;q)^N * (partition side), exact through q**n_max."""
-    return theta_series(level, n_max) - times_eta_power(main_term_series(level, n_max), level)
+    """C = (q;q)^N * sum b(n) q^n, exact through q**n_max.
+
+    Since cphi = f_theta / (q;q)^N, this is f_theta - (q;q)^N * (partition side).
+    """
+    return times_eta_power(correction_series(level, n_max), level)
 
 
 @lru_cache(maxsize=None)
 def correction_series(level: int, n_max: int) -> QSeries:
-    """b(n) series: cphi minus the partition side (equal to the residual / (q;q)^N)."""
+    """b(n) series: cphi minus the partition side."""
     return cphi_series(level, n_max) - main_term_series(level, n_max)
 
 
@@ -79,8 +82,7 @@ def eta13_series(n_max: int) -> QSeries:
     """q (q^13;q^13)_inf / (q;q)^2_inf through q**n_max."""
     if n_max < 1:
         return QSeries.zero(n_max)
-    rest = n_max - 1
-    return times_eta_power(euler_product(rest // 13).rescale(13), -2).crop(rest).shift(1)
+    return times_eta_power(times_eta_power(QSeries.one(n_max - 1), 1, 13), -2).shift(1)
 
 
 def asymptotic_ratios(level: int, n_max: int):

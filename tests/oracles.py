@@ -18,7 +18,8 @@ from cphi.eta_partition import EtaQuotientSpec, partition_count
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
 from cphi.qseries import QSeries, euler_product
 from cphi.radicals import QuarterRadical
-from cphi.verify import residual_series
+from cphi.theta import theta_series
+from cphi.verify import main_term_series
 
 
 def approx_complex(value: QuarterRadical) -> complex:
@@ -54,6 +55,15 @@ def from_json_dict(d: dict) -> QSeries:
     """Inverse of QSeries.to_json_dict."""
     coeffs = [Fraction(int(num), int(den)) for num, den in d["coeffs"]]
     return QSeries(d["valuation"], coeffs, d["trunc"])
+
+
+def rescale(series: QSeries, m: int) -> QSeries:
+    """Substitute q -> q**m."""
+    if m < 1:
+        raise ValueError("rescale requires m >= 1")
+    out = [0] * (len(series.coeffs) * m)
+    out[::m] = series.coeffs
+    return QSeries(series.valuation * m, out, (series.trunc + 1) * m - 1)
 
 
 def u_operator(series: QSeries, m: int) -> QSeries:
@@ -143,8 +153,8 @@ def eta_quotient_by_product(level: int, d: int, n_max: int) -> QSeries:
         return QSeries.zero(n_max)
     rest = n_max - prefix
     m = level // d
-    numerator = eta_power_miller(level, rest // m).rescale(m)
-    denominator_inv = eta_power_miller(-1, rest // d).rescale(d)
+    numerator = rescale(eta_power_miller(level, rest // m), m)
+    denominator_inv = rescale(eta_power_miller(-1, rest // d), d)
     return (numerator * denominator_inv).crop(rest).shift(prefix)
 
 
@@ -360,9 +370,19 @@ def cphi_constant_term(level: int, n_max: int) -> list:
     return out
 
 
+def residual_by_partition_side(level: int, n_max: int) -> QSeries:
+    """C = f_theta - (q;q)^N * main, the route residual_series used before (q;q)^N * b.
+
+    The lattice count minus the partition side times Miller's (q;q)^N, by one
+    series product.
+    """
+    main = main_term_series(level, n_max)
+    return theta_series(level, n_max) - (eta_power_miller(level, n_max) * main).crop(n_max)
+
+
 def correction_series_by_division(level: int, n_max: int) -> QSeries:
-    """b = residual / (q;q)^N, the route correction_series used before cphi - main."""
-    return (residual_series(level, n_max) * eta_power_miller(-level, n_max)).crop(n_max)
+    """b = C / (q;q)^N, with C from the partition-side route, by one series product."""
+    return (residual_by_partition_side(level, n_max) * eta_power_miller(-level, n_max)).crop(n_max)
 
 
 def gauss_naive(dim: int, a: int, c: int) -> complex:

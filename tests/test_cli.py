@@ -303,3 +303,31 @@ def test_verify_accepts_small_ratio_tolerance(capsys, tolerance):
     assert code == 0
     assert f"  [PASS] asymptotic-tolerance: |r(200)-1| = 0.000000000000 < {tolerance}\n" in out
     assert err == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "ratios"])
+def test_missing_level_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--nmax", "10")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {command} requires --N\n"
+
+
+def test_expand_needs_level_except_for_vr(capsys):
+    code, out, err = run_cli(capsys, "expand", "--series", "theta", "--nmax", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: expand requires --N for this series\n"
+    code, out, err = run_cli(capsys, "expand", "--series", "vr", "--r", "2", "--nmax", "3")
+    assert code == 0
+    assert out.splitlines() == ["q^0: 1", "q^1: 2", "q^2: 5", "q^3: 10"]
+
+
+def test_level_beyond_trial_division_exits_2(capsys):
+    # 1000006000009 = 1000003^2 is not squarefree; trial division cannot show
+    # it, so validation must refuse the level instead of starting a theta DP
+    code, out, err = run_cli(capsys, "verify", "--N", "1000006000009", "--nmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot factorize 1000006000009")
+    assert len(err.splitlines()) == 1

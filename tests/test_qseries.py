@@ -22,6 +22,7 @@ from oracles import (
     from_json_dict,
     monomial,
     partitions_brute,
+    rescale,
     u_operator,
 )
 
@@ -201,6 +202,35 @@ def test_times_eta_power_property():
     check()
 
 
+def residue_class_cases():
+    """Series at nonzero valuation, trunc not a multiple of d, trunc + 1 < d, and zero."""
+    rng = random.Random(11)
+    for trunc, valuation in ((0, 0), (1, 0), (1, 1), (4, 2), (12, 0), (29, 3), (61, 7)):
+        coeffs = [rng.randint(-9, 9) for _ in range(trunc - valuation + 1)]
+        coeffs[0] = coeffs[0] or 1
+        yield QSeries(valuation, coeffs, trunc)
+    yield QSeries(0, [Fraction(1, 3), 0, 0, 0, 0, 0, Fraction(-5, 2)], 6)
+    yield QSeries.zero(0)
+    yield QSeries.zero(17)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 13])
+def test_times_eta_power_residue_classes(d):
+    # (q^d;q^d)^k as Miller's (q;q)^k with q -> q**d, and one series product
+    for s in residue_class_cases():
+        for k in range(-3, 4):
+            n = s.trunc
+            expected = (s * rescale(eta_power_miller(k, n // d), d)).crop(n)
+            got = times_eta_power(s, k, d)
+            assert got.trunc == n and got == expected, (s, k, d)
+
+
+def test_times_eta_power_rejects_nonpositive_d():
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            times_eta_power(QSeries.one(5), 1, d)
+
+
 def test_eta_power_rejects_negative_truncation():
     with pytest.raises(ValueError):
         eta_power(3, -1)
@@ -286,7 +316,7 @@ def test_truncation_tracking_through_mul():
 
 def test_rescale_and_shift():
     s = from_coefficients([1, 2], trunc=1)
-    r = s.rescale(3)
+    r = rescale(s, 3)
     assert r.trunc == 5
     assert r.coefficients() == [1, 0, 0, 2, 0, 0]
     sh = s.shift(2)

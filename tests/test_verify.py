@@ -22,7 +22,12 @@ from cphi.verify import (
     run_verification,
     sturm_bound,
 )
-from oracles import correction_series_by_division, eta_power_miller, monomial
+from oracles import (
+    correction_series_by_division,
+    eta_power_miller,
+    monomial,
+    residual_by_partition_side,
+)
 
 
 def test_sturm_bounds():
@@ -178,15 +183,21 @@ def test_correction_series_matches_division_route(level, n_max):
     assert b.coefficients() == old.coefficients()
 
 
-@pytest.mark.parametrize("level,n_max", [(5, 1600), (13, 600), (23, 200), (35, 200)])
+@pytest.mark.parametrize(
+    "level,n_max",
+    [(5, 1600), (13, 600), (23, 200), (35, 200)]
+    + [(level, 200) for level in (1, 5, 7, 11, 13, 17, 19, 29, 31)]
+    + [(level, 60) for level in (55, 65, 77)],
+)
 def test_cphi_and_residual_match_product_routes(level, n_max):
-    # the add-only passes against the products they replaced, with (q;q)^(+-N)
-    # from Miller's recurrence
-    theta, main = theta_series(level, n_max), main_term_series(level, n_max)
+    # every valid level up to 35 at n = 200 and the composite 55, 65, 77: the
+    # add-only passes against the products they replaced, with (q;q)^(+-N)
+    # from Miller's recurrence, and the residual (q;q)^N * b against the
+    # route it replaced, theta - (q;q)^N * main
+    theta = theta_series(level, n_max)
     for got, old in (
         (cphi_series(level, n_max), theta * eta_power_miller(-level, n_max)),
-        (residual_series(level, n_max),
-         theta - (eta_power_miller(level, n_max) * main).crop(n_max)),
+        (residual_series(level, n_max), residual_by_partition_side(level, n_max)),
     ):
         assert got.trunc == old.trunc == n_max
         assert got.coefficients() == old.coefficients()
@@ -206,9 +217,9 @@ def test_verify_computes_eta_power_minus_n_once(monkeypatch):
     passes, powers = [], []
     times_eta_power, eta_power = cphi.qseries.times_eta_power, cphi.qseries.eta_power
 
-    def counting_passes(series, k):
+    def counting_passes(series, k, d=1):
         passes.append(k)
-        return times_eta_power(series, k)
+        return times_eta_power(series, k, d)
 
     def counting_powers(k, trunc):
         powers.append(k)
