@@ -90,6 +90,12 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return m, s
 
 
+def check_divides(d: int, level: int, name: str = "d") -> None:
+    """Raise ValueError unless d is a positive divisor of the level N."""
+    if d < 1 or level % d:
+        raise ValueError(f"{name}={d} does not divide N={level}")
+
+
 def validate_level(n: int) -> None:
     """Check that n is a valid level: positive, squarefree, coprime to 6."""
     if not isinstance(n, int) or n < 1:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .arith import divisors, is_squarefree, prime_factors, validate_level
+from .arith import check_divides, divisors, is_squarefree, prime_factors, validate_level
 from .radicals import QuarterRadical
 
 
@@ -66,8 +66,7 @@ def epsilon_c(c: int) -> QuarterRadical:
 
 def unit_a(d: int, level: int) -> QuarterRadical:
     """The fourth-root unit (-1)^((d+1)(N/d-1)/4) * epsilon_{N/d} for d | N."""
-    if d < 1 or level % d:
-        raise ValueError(f"d={d} does not divide N={level}")
+    check_divides(d, level)
     m = level // d
     if d % 2 == 0 or m % 2 == 0:
         raise ValueError("unit_a needs odd d and N")
@@ -136,8 +135,7 @@ def bernoulli_chi(k: int, level: int) -> Fraction:
 
 def sigma_twisted(k: int, level: int, d: int, n: int) -> int:
     """Twisted divisor sum sum_{t|n} chi_{N/d}(n/t) chi_d(t) t**k."""
-    if level % d:
-        raise ValueError(f"d={d} does not divide N={level}")
+    check_divides(d, level)
     if n < 1:
         raise ValueError(f"twisted divisor sum needs n >= 1, got {n}")
     if k < 0:

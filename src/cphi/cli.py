@@ -1,9 +1,10 @@
 """Command-line front end: expansions, Gauss sums, Bernoulli numbers, reports.
 
 Exit codes: 0 success / all checks pass, 1 a verification check failed or
-a computation broke an invariant (ArithmeticError, RuntimeError), 2 usage
-or validation error.  All rationals are printed losslessly as decimal
-strings ('26' or '4/5'); identical invocations produce identical output.
+a computation broke an invariant (ArithmeticError, RuntimeError), 2 a usage
+or validation error (a ValueError).  All rationals are printed losslessly as
+decimal strings ('26' or '4/5'); identical invocations produce identical
+output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from math import gcd
 
 from .arith import divisors, is_prime, is_squarefree, validate_level
@@ -47,10 +49,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
-
-
 def _check_threads_env() -> None:
     raw = os.environ.get("QSERIES_THREADS")
     if raw is None:
@@ -58,73 +56,71 @@ def _check_threads_env() -> None:
     try:
         value = int(raw)
     except ValueError:
-        raise UsageError(f"QSERIES_THREADS={raw!r} is not an integer")
+        raise ValueError(f"QSERIES_THREADS={raw!r} is not an integer")
     if value < 1:
-        raise UsageError(f"QSERIES_THREADS={value} must be >= 1")
+        raise ValueError(f"QSERIES_THREADS={value} must be >= 1")
     # computations here are sequential; the cap is accepted and never exceeded
 
 
-def _emit_series(series: QSeries, fmt: str) -> None:
+def _required(value, message: str):
+    if value is None:
+        raise ValueError(message)
+    return value
+
+
+def _emit(fmt: str, payload, text, csv=None) -> None:
+    """Print json.dumps(payload()), the csv lines (default: the text lines) or the text lines.
+
+    Only the format asked for is built: payload is a function, the lines may be generators.
+    """
     if fmt == "json":
-        print(json.dumps(series.to_json_dict()))
-    elif fmt == "csv":
-        print("n,coefficient")
-        for n, c in enumerate(series.coefficients()):
-            print(f"{n},{rational_str(c)}")
-    else:
-        for n, c in enumerate(series.coefficients()):
-            print(f"q^{n}: {rational_str(c)}")
+        print(json.dumps(payload()))
+        return
+    for line in csv if fmt == "csv" and csv is not None else text:
+        print(line)
+
+
+def _partition_side(level: int, d: int | None, n_max: int) -> QSeries:
+    if d is None:
+        return main_term_series(level, n_max)
+    return QSeries(0, [scaled_partition_term(level, d, n) for n in range(n_max + 1)], n_max)
+
+
+# `expand --series` name -> builder of the series from the parsed arguments
+SERIES = {
+    "theta": lambda a: theta_series(a.N, a.nmax),
+    "cphi": lambda a: cphi_series(a.N, a.nmax),
+    "eta": lambda a: eta_quotient_series(a.N, _required(a.d, "--series eta requires --d"), a.nmax),
+    "eisenstein-theta": lambda a: theta_eisenstein_series(a.N, a.nmax),
+    "partition": lambda a: _partition_side(a.N, a.d, a.nmax),
+    "vr": lambda a: multi_partition_series(_required(a.r, "--series vr requires --r"), a.nmax),
+}
 
 
 def _cmd_expand(args) -> int:
-    n_max = args.nmax
-    if n_max < 0:
-        raise UsageError("nmax must be >= 0")
-    kind = args.series
-    if kind == "vr":
-        if args.r is None:
-            raise UsageError("--series vr requires --r")
-        series = multi_partition_series(args.r, n_max)
-    else:
+    if args.series != "vr":
+        _required(args.N, "expand requires --N for this series")
+    if args.nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    if args.series != "vr":
         validate_level(args.N)
-        if kind == "theta":
-            series = theta_series(args.N, n_max)
-        elif kind == "cphi":
-            series = cphi_series(args.N, n_max)
-        elif kind == "eta":
-            if args.d is None:
-                raise UsageError("--series eta requires --d")
-            series = eta_quotient_series(args.N, args.d, n_max)
-        elif kind == "eisenstein-theta":
-            series = theta_eisenstein_series(args.N, n_max)
-        elif kind == "partition":
-            if args.d is not None:
-                coeffs = [
-                    scaled_partition_term(args.N, args.d, n)
-                    for n in range(n_max + 1)
-                ]
-                series = QSeries(0, coeffs, n_max)
-            else:
-                series = main_term_series(args.N, n_max)
-        else:  # pragma: no cover - argparse restricts choices
-            raise UsageError(f"unknown series {kind!r}")
-    _emit_series(series, args.format)
+    series = SERIES[args.series](args)
+    coeffs = series.coefficients()
+    _emit(args.format, series.to_json_dict,
+          (f"q^{n}: {rational_str(c)}" for n, c in enumerate(coeffs)),
+          chain(["n,coefficient"], (f"{n},{rational_str(c)}" for n, c in enumerate(coeffs))))
     return EXIT_OK
 
 
 def _cmd_gauss(args) -> int:
     dim, a, c = args.dim, args.a, args.c
     if dim < 0 or c < 1:
-        raise UsageError("gauss needs dim >= 0 and c >= 1")
+        raise ValueError("gauss needs dim >= 0 and c >= 1")
     if gcd(a, c) != 1:
-        raise UsageError(f"gcd(a={a}, c={c}) must be 1")
-    payload: dict = {"dim": dim, "a": a, "c": c}
-    oracle = None
-    if c**dim <= PHASE_GUARD:
-        oracle = gauss_sum_numeric(dim, a, c)
-        payload["oracle"] = {"re": repr(oracle.real), "im": repr(oracle.imag)}
-    else:
-        payload["oracle"] = None
+        raise ValueError(f"gcd(a={a}, c={c}) must be 1")
+    oracle = gauss_sum_numeric(dim, a, c) if c**dim <= PHASE_GUARD else None
+    shown = None if oracle is None else {"re": repr(oracle.real), "im": repr(oracle.imag)}
+    payload: dict = {"dim": dim, "a": a, "c": c, "oracle": shown}
     exact_values = {}
     if c % 2 == 1 and c > 1 and is_prime(c):
         exact_values["reduction"] = gauss_sum_by_reduction(dim, a, c)
@@ -142,13 +138,12 @@ def _cmd_gauss(args) -> int:
         exact_values["level-closed-form"] = gauss_sum_closed(level, a, c)
     if c == 1:
         exact_values["empty-modulus"] = QuarterRadical.one()
-    for key, val in exact_values.items():
-        payload[key] = str(val)
-    if not exact_values and payload["oracle"] is None:
-        raise UsageError(
+    if not exact_values and oracle is None:
+        raise ValueError(
             f"no evaluation route applies: {c}^{dim} exceeds the oracle guard "
             "and no closed form matches"
         )
+    payload.update((key, str(val)) for key, val in exact_values.items())
     exacts = list(exact_values.values())
     agree = all(x == exacts[0] for x in exacts)
     if oracle is not None and exacts:
@@ -157,28 +152,21 @@ def _cmd_gauss(args) -> int:
         if abs(oracle - complex(re, im)) > 1e-6 * scale:
             agree = False
     payload["agree"] = agree
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        for key, val in payload.items():
-            if key == "oracle" and val is not None:
-                val = f"{val['re']} {val['im']}"
-            print(f"{key}: {val}")
+    text = [f"{key}: {val['re']} {val['im']}" if key == "oracle" and val else f"{key}: {val}"
+            for key, val in payload.items()]
+    _emit(args.format, lambda: payload, text)
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 
 def _cmd_bernoulli(args) -> int:
     if args.N < 1 or args.N % 2 == 0:
-        raise UsageError(f"N={args.N}: must be odd and positive")
+        raise ValueError(f"N={args.N}: must be odd and positive")
     if not is_squarefree(args.N):
-        raise UsageError(f"N={args.N}: must be squarefree")
+        raise ValueError(f"N={args.N}: must be squarefree")
     if args.k < 0 or args.k > 64:
-        raise UsageError("k must lie in 0..64")
-    value = bernoulli_chi(args.k, args.N)
-    if args.format == "json":
-        print(json.dumps({"k": args.k, "N": args.N, "value": rational_str(value)}))
-    else:
-        print(rational_str(value))
+        raise ValueError("k must lie in 0..64")
+    value = rational_str(bernoulli_chi(args.k, args.N))
+    _emit(args.format, lambda: {"k": args.k, "N": args.N, "value": value}, [value])
     return EXIT_OK
 
 
@@ -196,134 +184,87 @@ def _cmd_verify(args) -> int:
 def _cmd_ratios(args) -> int:
     validate_level(args.N)
     if args.nmax < 1:
-        raise UsageError("nmax must be >= 1")
+        raise ValueError("nmax must be >= 1")
     ratios, skipped = asymptotic_ratios(args.N, args.nmax)
-    if args.format == "json":
-        payload = {
-            "N": args.N,
-            "nMax": args.nmax,
-            "ratios": [[n, decimal_str(r)] for n, r in ratios],
-            "skipped": skipped,
-        }
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        print("n,ratio")
-        for n, r in ratios:
-            print(f"{n},{decimal_str(r)}")
-    else:
-        for n, r in ratios:
-            print(f"n={n}: {decimal_str(r)}")
-        if skipped:
-            print(f"skipped (zero main term): {skipped}")
+    ratios = [[n, decimal_str(r)] for n, r in ratios]
+    text = [f"n={n}: {r}" for n, r in ratios]
+    if skipped:
+        text.append(f"skipped (zero main term): {skipped}")
+    payload = {"N": args.N, "nMax": args.nmax, "ratios": ratios, "skipped": skipped}
+    _emit(args.format, lambda: payload, text, ["n,ratio"] + [f"{n},{r}" for n, r in ratios])
     return EXIT_OK
 
 
+def _cusp_constants(args):
+    level = _required(args.N, "table cusp-constants requires --N")
+    validate_level(level)
+    return [{"d": d, "theta": str(theta_cusp_constant(level, d)),
+             "eta": str(eta_cusp_constant(level, d, d))} for d in divisors(level)], []
+
+
+# `table --which` name -> (rows, errors) from the parsed arguments
+TABLES = {
+    "b1": lambda args: b1_table(),
+    "kolitsch": lambda args: kolitsch_table(args.nmax),
+    "cusp-constants": _cusp_constants,
+}
+
+
 def _cmd_table(args) -> int:
-    which = args.which
-    rows, errors = [], []
-    if which == "b1":
-        rows, errors = b1_table()
-    elif which == "kolitsch":
-        rows, errors = kolitsch_table(args.nmax)
-    elif which == "cusp-constants":
-        if args.N is None:
-            raise UsageError("table cusp-constants requires --N")
-        validate_level(args.N)
-        for d in divisors(args.N):
-            rows.append(
-                {
-                    "d": d,
-                    "theta": str(theta_cusp_constant(args.N, d)),
-                    "eta": str(eta_cusp_constant(args.N, d, d)),
-                }
-            )
+    rows, errors = TABLES[args.which](args)
     for line in errors:
         print(line, file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(rows))
-    elif args.format == "csv":
-        if rows:
-            keys = list(rows[0])
-            print(",".join(keys))
-            for row in rows:
-                print(",".join(str(row[k]) for k in keys))
-    else:
-        for row in rows:
-            print("  ".join(f"{k}={v}" for k, v in row.items()))
+    text = ["  ".join(f"{k}={v}" for k, v in row.items()) for row in rows]
+    csv = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows] if rows else []
+    _emit(args.format, lambda: rows, text, csv)
     return EXIT_CHECK_FAILED if errors else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cphi",
-        description="exact q-series computations and identity verification",
+        prog="cphi", description="exact q-series computations and identity verification"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--N", type=int, required=False, default=None)
-        p.add_argument("--nmax", type=int, default=200)
-        p.add_argument(
-            "--format", choices=("json", "csv", "text"), default="text"
-        )
+    def command(name, help, func, *options, level=False, needs_n=False):
+        """Subcommand with its options, then --N/--nmax if it takes a level, then --format."""
+        p = sub.add_parser(name, help=help)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        if level:
+            p.add_argument("--N", type=int, default=None)
+            p.add_argument("--nmax", type=int, default=200)
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.set_defaults(func=func, needs_n=needs_n)
+        return p
 
-    p = sub.add_parser("expand", help="print a series expansion")
-    p.add_argument(
-        "--series",
-        required=True,
-        choices=("theta", "cphi", "eta", "eisenstein-theta", "partition", "vr"),
-    )
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=_cmd_expand, needs_n=False)
-
-    p = sub.add_parser("gauss", help="evaluate a quadratic Gauss sum")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.set_defaults(func=_cmd_gauss, needs_n=False)
-
-    p = sub.add_parser("bernoulli", help="generalized Bernoulli number")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.set_defaults(func=_cmd_bernoulli, needs_n=False)
-
-    p = sub.add_parser("verify", help="run the verification suite for one level")
-    add_common(p)
-    p.add_argument("--ratio-tolerance", type=float, default=0.1)
-    p.set_defaults(func=_cmd_verify, needs_n=True)
-
-    p = sub.add_parser("ratios", help="asymptotic ratio table")
-    add_common(p)
-    p.set_defaults(func=_cmd_ratios, needs_n=True)
-
-    p = sub.add_parser("table", help="summary tables")
-    p.add_argument("--which", required=True, choices=("b1", "kolitsch", "cusp-constants"))
-    add_common(p)
-    p.set_defaults(func=_cmd_table, needs_n=False)
-
+    integer = {"type": int, "required": True}
+    optional = {"type": int, "default": None}
+    command("expand", "print a series expansion", _cmd_expand,
+            ("--series", {"required": True, "choices": SERIES}),
+            ("--d", optional), ("--r", optional), level=True)
+    command("gauss", "evaluate a quadratic Gauss sum", _cmd_gauss,
+            ("--dim", integer), ("--a", integer), ("--c", integer))
+    command("bernoulli", "generalized Bernoulli number", _cmd_bernoulli,
+            ("--k", integer), ("--N", integer))
+    command("verify", "run the verification suite for one level", _cmd_verify,
+            level=True, needs_n=True).add_argument("--ratio-tolerance", type=float, default=0.1)
+    command("ratios", "asymptotic ratio table", _cmd_ratios, level=True, needs_n=True)
+    command("table", "summary tables", _cmd_table,
+            ("--which", {"required": True, "choices": TABLES}), level=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_threads_env()
         if args.needs_n and args.N is None:
-            raise UsageError(f"{args.command} requires --N")
-        if args.command == "expand" and args.series != "vr" and args.N is None:
-            raise UsageError("expand requires --N for this series")
+            raise ValueError(f"{args.command} requires --N")
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ArithmeticError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_CHECK_FAILED
 
 
 def entry() -> None:

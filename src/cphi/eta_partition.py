@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors, validate_level
+from .arith import check_divides, divisors, validate_level
 from .characters import kronecker
-from .qseries import QSeries, eta_power, times_eta_power
+from .qseries import QSeries, eta_pass, eta_power, pentagonal_terms, times_eta_power
 from .radicals import QuarterRadical
 
 
@@ -27,8 +27,7 @@ class EtaQuotientSpec:
 
     def __post_init__(self):
         validate_level(self.level)
-        if self.d < 1 or self.level % self.d:
-            raise ValueError(f"d={self.d} does not divide N={self.level}")
+        check_divides(self.d, self.level)
         if (self.level**2 - self.d**2) % (24 * self.d):
             raise ValueError(
                 f"(N^2-d^2)/(24d) is not an integer for N={self.level}, d={self.d}"
@@ -56,9 +55,8 @@ def eta_quotient_series(level: int, d: int, n_max: int) -> QSeries:
 def cusp_vanishing_order(level: int, d: int, c: int) -> Fraction:
     """Order of vanishing of the eta quotient at the cusp 1/c, c | N."""
     validate_level(level)
-    for name, x in (("d", d), ("c", c)):
-        if x < 1 or level % x:
-            raise ValueError(f"{name}={x} does not divide N={level}")
+    check_divides(d, level)
+    check_divides(c, level, "c")
     return Fraction(level, 24 * c) * Fraction(
         d * d * gcd(level // d, c) ** 2 - gcd(d, c) ** 2, d
     )
@@ -67,9 +65,8 @@ def cusp_vanishing_order(level: int, d: int, c: int) -> Fraction:
 def eta_cusp_constant(level: int, d: int, c: int) -> QuarterRadical:
     """Constant term of the eta quotient at the cusp 1/c; zero unless c = d."""
     validate_level(level)
-    for name, x in (("d", d), ("c", c)):
-        if x < 1 or level % x:
-            raise ValueError(f"{name}={x} does not divide N={level}")
+    check_divides(d, level)
+    check_divides(c, level, "c")
     if c != d:
         return QuarterRadical.zero()
     coeff = kronecker(level // d, d) * Fraction(d, level) ** ((level - 1) // 2)
@@ -82,9 +79,16 @@ _partition_table = [1]
 
 
 def partition_numbers(n_max: int) -> list:
-    """P(0..n_max) by Euler's recurrence, eta_power(-1) (grow-only table, grown to n_max)."""
-    if n_max >= len(_partition_table):
-        _partition_table[:] = eta_power(-1, n_max).coeffs
+    """P(0..n_max) by Euler's recurrence, the quotient eta_pass for 1/(q;q).
+
+    The table only grows, by continuing the pass from its first missing entry.
+    """
+    start = len(_partition_table)
+    if n_max >= start:
+        # extended on a copy, so an interrupted pass leaves the table as it was
+        table = _partition_table + [0] * (n_max + 1 - start)
+        eta_pass(table, *pentagonal_terms(n_max), -1, start)
+        _partition_table[:] = table
     return _partition_table[: n_max + 1]
 
 
@@ -97,15 +101,14 @@ def partition_count(x) -> int:
     if x < 0:
         return 0
     if x >= len(_partition_table):
-        # at least double, so a run of increasing lookups rebuilds O(log x) times
+        # at least double, so a run of increasing lookups extends O(log x) times
         partition_numbers(max(x, 2 * len(_partition_table)))
     return _partition_table[x]
 
 
 def scaled_partition_term(level: int, d: int, n: int) -> int:
     """(N/d) * P(N n / d^2 - (N^2 - d^2)/(24 d^2)) with the P convention."""
-    if d < 1 or level % d:
-        raise ValueError(f"d={d} does not divide N={level}")
+    check_divides(d, level)
     arg, rem = divmod(24 * level * n - (level**2 - d**2), 24 * d * d)
     return 0 if rem else (level // d) * partition_count(arg)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, pi
 
-from .arith import is_prime, is_squarefree, prime_factors
+from .arith import check_divides, is_prime, is_squarefree, prime_factors
 from .radicals import QuarterRadical
 from .characters import epsilon_c, kronecker
 
@@ -202,8 +202,7 @@ def gauss_sum_closed(level: int, a: int, d: int) -> QuarterRadical:
     """Closed form G_{N-1}(a, d) = (a|d) i^((N-Nd)/2) d^(N/2), d | N odd squarefree."""
     if level < 1 or level % 2 == 0 or not is_squarefree(level):
         raise ValueError(f"N={level} must be odd positive squarefree")
-    if d < 1 or level % d:
-        raise ValueError(f"d={d} does not divide N={level}")
+    check_divides(d, level)
     if gcd(a, d) != 1:
         raise ValueError(f"gcd({a}, {d}) != 1")
     return QuarterRadical(
@@ -215,8 +214,7 @@ def gauss_sum_closed(level: int, a: int, d: int) -> QuarterRadical:
 
 def reduction_unit(d: int, level: int) -> QuarterRadical:
     """prod_{p|d} i^((N-Np)/2) (d/p|p) divided by i^((N-Nd)/2); always 1."""
-    if d < 1 or level % d:
-        raise ValueError(f"d={d} does not divide N={level}")
+    check_divides(d, level)
     acc = QuarterRadical.one()
     for p in prime_factors(d):
         acc = acc * QuarterRadical(

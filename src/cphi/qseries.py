@@ -257,37 +257,51 @@ def euler_product(trunc: int) -> QSeries:
     return QSeries(0, list(euler_coefficients(trunc)), trunc)
 
 
+def pentagonal_terms(trunc: int) -> tuple[list, list]:
+    """The j in 1..trunc where (q;q)_infinity has coefficient +1, and where it has -1."""
+    a = euler_coefficients(trunc)
+    return tuple([j for j in range(1, len(a)) if a[j] == sign] for sign in (1, -1))
+
+
+def eta_pass(part: list, plus: list, minus: list, k: int, start: int = 1) -> None:
+    """One pass multiplying the list part in place by (q;q)_infinity (k > 0) or dividing by it.
+
+    plus, minus = pentagonal_terms(m) for some m >= len(part) - 1.  A product
+    walks n down, c_n += sum_j a_j c_{n-j} with c_{n-j} not yet updated; a
+    quotient walks n up from start, c_n -= the same sum, taking the entries
+    below start as already divided, so a quotient can be continued in place.
+    """
+    for n in range(len(part) - 1, 0, -1) if k > 0 else range(start, len(part)):
+        acc = 0
+        for j in plus:
+            if j > n:
+                break
+            acc += part[n - j]
+        for j in minus:
+            if j > n:
+                break
+            acc -= part[n - j]
+        part[n] += acc if k > 0 else -acc
+
+
 def times_eta_power(series: QSeries, k: int, d: int = 1) -> QSeries:
     """series * (q^d;q^d)_infinity**k exact through series.trunc, for any integer k.
 
     (q^d;q^d) = 1 + sum a_j q**(d j) acts on each residue class c[r::d] of the
     coefficients on its own, as (q;q) does on a series; a class with no
     nonzero coefficient stays zero and is skipped.  a_j = +-1 at the O(sqrt n)
-    pentagonal j > 0, so each of the |k| passes over a class only adds: a
-    product walks n down, c_n += sum_j a_j c_{n-j} with c_{n-j} not yet
-    updated; a quotient walks n up, c_n -= the same sum.
+    pentagonal j > 0, so each of the |k| eta_pass calls over a class only adds.
     """
     if d < 1:
         raise ValueError(f"(q^d;q^d) needs d >= 1, got d={d}")
     c = list(series.coeffs)
-    a = euler_coefficients(max((len(c) - 1) // d, 0))
-    plus, minus = ([j for j in range(1, len(a)) if a[j] == sign] for sign in (1, -1))
+    plus, minus = pentagonal_terms(max((len(c) - 1) // d, 0))
     for r in range(min(d, len(c))):
         part = c[r::d]
         if not any(part):
             continue
         for _ in range(abs(k)):
-            for n in range(len(part) - 1, 0, -1) if k > 0 else range(1, len(part)):
-                acc = 0
-                for j in plus:
-                    if j > n:
-                        break
-                    acc += part[n - j]
-                for j in minus:
-                    if j > n:
-                        break
-                    acc -= part[n - j]
-                part[n] += acc if k > 0 else -acc
+            eta_pass(part, plus, minus, k)
         c[r::d] = part
     return QSeries(series.valuation, c, series.trunc)
 

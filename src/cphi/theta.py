@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .arith import validate_level
+from .arith import check_divides, validate_level
 from .qseries import QSeries, times_eta_power
 from .radicals import QuarterRadical
 
@@ -81,6 +81,5 @@ def cphi_series(level: int, n_max: int) -> QSeries:
 def theta_cusp_constant(level: int, d: int) -> QuarterRadical:
     """Constant term of f_{theta_{N-1}} at the cusp 1/d: i^((1-Nd)/2) sqrt(d/N)."""
     validate_level(level)
-    if d < 1 or level % d:
-        raise ValueError(f"d={d} does not divide N={level}")
+    check_divides(d, level)
     return QuarterRadical(1, ((1 - level * d) // 2) % 4, Fraction(d, level))

@@ -1,6 +1,15 @@
 import pytest
 
 from cphi.arith import TRIAL_DIVISION_LIMIT, factorize, validate_level
+from cphi.characters import sigma_twisted, unit_a
+from cphi.eta_partition import (
+    EtaQuotientSpec,
+    cusp_vanishing_order,
+    eta_cusp_constant,
+    scaled_partition_term,
+)
+from cphi.gauss_sums import gauss_sum_closed, reduction_unit
+from cphi.theta import theta_cusp_constant
 
 
 def factorize_brute(n):
@@ -29,3 +38,28 @@ def test_factorize_refuses_cofactor_beyond_trial_division():
     with pytest.raises(ValueError, match=str(TRIAL_DIVISION_LIMIT)):
         validate_level(1000003**2)
     assert factorize(5 * 1000003) == [(5, 1), (1000003, 1)]
+
+
+# every function of a divisor d | N, called at N = 5: (name of the slot, call with d in it)
+DIVISOR_SITES = {
+    "unit_a": ("d", lambda d: unit_a(d, 5)),
+    "sigma_twisted": ("d", lambda d: sigma_twisted(1, 5, d, 1)),
+    "EtaQuotientSpec": ("d", lambda d: EtaQuotientSpec(5, d)),
+    "cusp_vanishing_order": ("d", lambda d: cusp_vanishing_order(5, d, 1)),
+    "cusp_vanishing_order-c": ("c", lambda c: cusp_vanishing_order(5, 5, c)),
+    "eta_cusp_constant": ("d", lambda d: eta_cusp_constant(5, d, 5)),
+    "eta_cusp_constant-c": ("c", lambda c: eta_cusp_constant(5, 5, c)),
+    "scaled_partition_term": ("d", lambda d: scaled_partition_term(5, d, 1)),
+    "gauss_sum_closed": ("d", lambda d: gauss_sum_closed(5, 1, d)),
+    "reduction_unit": ("d", lambda d: reduction_unit(d, 5)),
+    "theta_cusp_constant": ("d", lambda d: theta_cusp_constant(5, d)),
+}
+
+
+@pytest.mark.parametrize("d", [0, -5, 2])
+@pytest.mark.parametrize("site", sorted(DIVISOR_SITES))
+def test_divisor_sites_refuse_nondivisors(site, d):
+    # d = -5 divides 5 as an integer, and d = 0 must not reach a division
+    slot, call = DIVISOR_SITES[site]
+    with pytest.raises(ValueError, match=f"^{slot}={d} does not divide N=5$"):
+        call(d)

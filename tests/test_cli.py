@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ from cphi import cli
 from cphi.cli import main
 from cphi.gauss_sums import gauss_sum_numeric
 from oracles import monomial
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -331,3 +336,27 @@ def test_level_beyond_trial_division_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: cannot factorize 1000006000009")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("level,nmax,exit_code", [("5", "20", 0), ("35", "20", 1), ("15", "10", 2)])
+def test_exit_codes_through_a_real_process(level, nmax, exit_code):
+    # entry() hands main's return value to sys.exit; only a process shows it
+    env = {k: v for k, v in os.environ.items() if k != "QSERIES_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cphi.cli", "verify", "--N", level, "--nmax", nmax],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == exit_code
+    if exit_code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr == "error: N=15: must be coprime to 6\n"
+    else:
+        assert proc.stdout.endswith("  overall: PASS\n" if exit_code == 0 else "  overall: FAIL\n")
+        assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("line", ["gauss --dim 4 --a 1 --c 5", "gauss --dim 10 --a 1 --c 3", "bernoulli --k 2 --N 5"])
+def test_csv_without_a_table_prints_the_text(capsys, line):
+    text = run_cli(capsys, *shlex.split(line))
+    assert run_cli(capsys, *shlex.split(line), "--format", "csv") == text

@@ -19,6 +19,7 @@ from cphi.qseries import QSeries, eta_power, euler_product
 from cphi.radicals import QuarterRadical
 from cphi.verify import main_term_series
 from oracles import (
+    eta_power_miller,
     eta_quotient_by_product,
     multi_partition_sigma_route,
     partitions_brute,
@@ -153,18 +154,26 @@ def test_partition_table_grows_to_explicit_request(monkeypatch):
 
 
 def test_partition_lookups_rebuild_logarithmically(monkeypatch):
-    builds = []
+    # each extension continues the quotient pass where the table ended, so
+    # every P(n) is computed once, and increasing lookups extend O(log n) times
+    passes, eta_pass = [], eta_partition.eta_pass
 
-    def counting_eta_power(k, trunc):
-        builds.append(trunc)
-        return eta_power(k, trunc)
+    def recording_pass(part, plus, minus, k, start=1):
+        passes.append((start, len(part)))
+        eta_pass(part, plus, minus, k, start)
 
     monkeypatch.setattr(eta_partition, "_partition_table", [1])
-    monkeypatch.setattr(eta_partition, "eta_power", counting_eta_power)
+    monkeypatch.setattr(eta_partition, "eta_pass", recording_pass)
     for n in range(1, 1601):
         assert partition_count(5 * n - 1) == eta_partition._partition_table[5 * n - 1]
-    assert len(builds) <= (5 * 1600).bit_length() + 1
-    assert all(later >= 2 * earlier for earlier, later in zip(builds, builds[1:]))
+    table = eta_partition._partition_table
+    ends = [end for _, end in passes]
+    assert [start for start, _ in passes] == [1] + ends[:-1]
+    assert ends[-1] == len(table)
+    assert len(passes) <= (5 * 1600).bit_length() + 1
+    assert all(later >= 2 * earlier for earlier, later in zip(ends, ends[1:]))
+    assert table == list(eta_power(-1, len(table) - 1).coeffs)
+    assert table[:601] == list(eta_power_miller(-1, 600).coeffs)
     assert partition_numbers(30) == [partitions_brute(n) for n in range(31)]
 
 
