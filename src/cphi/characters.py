@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, lcm
 
 from .arith import check_divides, divisors, is_squarefree, prime_factors, validate_level
 from .radicals import QuarterRadical
@@ -100,37 +100,38 @@ def gauss_w(d: int) -> QuarterRadical:
 
 
 BERNOULLI_INDEX_BOUND = 64
+# level N -> [B_{0,chi_N}, B_{1,chi_N}, ...], continued in place on a miss
+_BERNOULLI_TABLES: dict = {}
 
 
-@lru_cache(maxsize=None)
 def bernoulli_chi(k: int, level: int) -> Fraction:
-    """Generalized Bernoulli number B_{k, chi_level} by exact series division.
+    """Generalized Bernoulli number B_{k, chi_level}, from one table per level.
 
-    Expands sum_{a=1}^{N} chi_N(a) t e^{at} / (e^{Nt} - 1) as a power series
-    in t with rational coefficients and reads off k! times the t^k term.  The
-    division is term by term: b_n = (num_n - sum_{j>=1} den_j b_{n-j}) / den_0.
-    The N = 1 case reproduces the classical numbers with B_1 = +1/2.
+    Comparing t^(n+1) in sum_{a=1}^{N} chi_N(a) t e^{at} = (e^{Nt} - 1) sum_k
+    B_{k,chi} t^k / k! gives, with S_n = sum_a chi_N(a) a^n, the recurrence
+    N (n+1) B_n = (n+1) S_n - sum_{m=2}^{n+1} C(n+1,m) N^m B_{n+1-m}.  The table
+    continues it from its first missing index, so each index is computed once.
     """
     if k < 0 or k > BERNOULLI_INDEX_BOUND:
         raise ValueError(f"index {k} outside supported range 0..{BERNOULLI_INDEX_BOUND}")
     if level < 1 or level % 2 == 0:
         raise ValueError(f"needs odd positive modulus, got {level}")
-    # numerator: sum_a chi(a) e^{at} = sum_j (sum_a chi(a) a^j) t^j / j!
-    power_sums = [0] * (k + 1)
-    for a in range(1, level + 1):
-        ca = chi(level, a)
-        if ca:
-            aj = 1
-            for j in range(k + 1):
-                power_sums[j] += ca * aj
-                aj *= a
-    num = [Fraction(s, factorial(j)) for j, s in enumerate(power_sums)]
-    # denominator: (e^{Nt} - 1)/t = sum_j N^{j+1} t^j / (j+1)!
-    den = [Fraction(level ** (j + 1), factorial(j + 1)) for j in range(k + 1)]
-    b = []
-    for n in range(k + 1):
-        b.append((num[n] - sum(den[j] * b[n - j] for j in range(1, n + 1))) / den[0])
-    return b[k] * factorial(k)
+    table = _BERNOULLI_TABLES.setdefault(level, [])
+    start = len(table)
+    if k < start:
+        return table[k]
+    # running chi(a) a^n over the a with chi(a) != 0
+    powers = [(a, c * a**start) for a in range(1, level + 1) if (c := chi(level, a))]
+    for n in range(start, k + 1):
+        den = lcm(*(b.denominator for b in table))
+        num = (n + 1) * den * sum(p for _, p in powers)
+        for m in range(2, n + 2):
+            b = table[n + 1 - m]
+            if b:
+                num -= comb(n + 1, m) * level**m * b.numerator * (den // b.denominator)
+        table.append(Fraction(num, den * level * (n + 1)))
+        powers = [(a, p * a) for a, p in powers]
+    return table[k]
 
 
 def sigma_twisted(k: int, level: int, d: int, n: int) -> int:

@@ -116,6 +116,10 @@ def _cmd_gauss(args) -> int:
     dim, a, c = args.dim, args.a, args.c
     if dim < 0 or c < 1:
         raise ValueError("gauss needs dim >= 0 and c >= 1")
+    # the reduction runs about dim * c / 2 trial divisions; printed integers stay below c**((dim+1)/2)
+    if (dim + 1) * c > 2 * 10**6 or (dim + 1) * len(str(c)) > 8000:
+        raise ValueError(f"gauss needs (dim+1)*c <= 2000000 and (dim+1)*digits(c) <= 8000, "
+                         f"got dim={dim}, c={c}")
     if gcd(a, c) != 1:
         raise ValueError(f"gcd(a={a}, c={c}) must be 1")
     oracle = gauss_sum_numeric(dim, a, c) if c**dim <= PHASE_GUARD else None
@@ -163,8 +167,6 @@ def _cmd_bernoulli(args) -> int:
         raise ValueError(f"N={args.N}: must be odd and positive")
     if not is_squarefree(args.N):
         raise ValueError(f"N={args.N}: must be squarefree")
-    if args.k < 0 or args.k > 64:
-        raise ValueError("k must lie in 0..64")
     value = rational_str(bernoulli_chi(args.k, args.N))
     _emit(args.format, lambda: {"k": args.k, "N": args.N, "value": value}, [value])
     return EXIT_OK

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factorize, prime_factors
+from .arith import factorize
 from .characters import (
     bernoulli_chi,
     chi,
@@ -83,8 +83,8 @@ def eisenstein_coefficient_factored(level: int, n: int) -> Fraction:
     """Same coefficient by the multiplicative factorization over primes.
 
     Splits off (-8|N) (1-N)/B N^k, a geometric factor per prime of n, and a
-    product over primes s | N; exact agreement with the divisor-sum route is
-    a structural cross-check.
+    product over primes s | N with the signs C(s, N) of the profile; exact
+    agreement with the divisor-sum route is a structural cross-check.
     """
     if n < 1:
         raise ValueError("coefficients start at n = 1")
@@ -92,22 +92,24 @@ def eisenstein_coefficient_factored(level: int, n: int) -> Fraction:
     k = (level - 3) // 2
     sign8 = kronecker(-8, level)
     lead = sign8 * profile.prefactor * level**k
+    factors = factorize(n)
     geom = Fraction(1)
-    for p, e in factorize(n):
+    for p, e in factors:
         if level % p == 0:
             geom *= p ** (k * e)
         else:
             x = chi(level, p)
             geom *= Fraction(p ** (k * (e + 1)) - x ** (e + 1), p**k - x)
+    signs = {term.d: term.sign for term in profile.terms}
     local = Fraction(1)
-    for s in prime_factors(level):
+    for s in context(level).prime_factors:
         t = Fraction(1)
-        for p, e in factorize(n):
+        for p, e in factors:
             if p == s:
                 t *= Fraction(chi(level // s, p**e), p ** (k * e))
             else:
                 t *= chi(s, p**e)
-        local *= 1 + sign8 * eisenstein_sign(s, level) * Fraction(1, s**k) * t
+        local *= 1 + sign8 * signs[s] * Fraction(1, s**k) * t
     return lead * geom * local
 
 
@@ -118,25 +120,20 @@ def theta_eisenstein_series(level: int, n_max: int) -> QSeries:
     return QSeries(0, coeffs, n_max)
 
 
+def _divisor_series(level: int, d: int, n_max: int, eta: bool) -> QSeries:
+    """[d = N] + sum_n scale * sigma_{(N-3)/2}(chi_{N/d}, chi_d; n) q^n for divisor d."""
+    term = next(t for t in eisenstein_profile(level).terms if t.d == d)
+    scale = term.eta_scale if eta else term.sigma_scale
+    coeffs = [Fraction(1 if d == level else 0)]
+    coeffs += [scale * sigma_twisted((level - 3) // 2, level, d, n) for n in range(1, n_max + 1)]
+    return QSeries(0, coeffs, n_max)
+
+
 def eta_eisenstein_series(level: int, d: int, n_max: int) -> QSeries:
     """Eisenstein part of the eta quotient for divisor d."""
-    profile = eisenstein_profile(level)
-    term = next(t for t in profile.terms if t.d == d)
-    k = (level - 3) // 2
-    coeffs = [Fraction(1 if d == level else 0)]
-    coeffs += [
-        term.eta_scale * sigma_twisted(k, level, d, n) for n in range(1, n_max + 1)
-    ]
-    return QSeries(0, coeffs, n_max)
+    return _divisor_series(level, d, n_max, eta=True)
 
 
 def partition_eisenstein_series(level: int, d: int, n_max: int) -> QSeries:
     """Eisenstein series equal (mod cusp forms) to (N/d)(q;q)^N sum P(...) q^n."""
-    profile = eisenstein_profile(level)
-    term = next(t for t in profile.terms if t.d == d)
-    k = (level - 3) // 2
-    coeffs = [Fraction(1 if d == level else 0)]
-    coeffs += [
-        term.sigma_scale * sigma_twisted(k, level, d, n) for n in range(1, n_max + 1)
-    ]
-    return QSeries(0, coeffs, n_max)
+    return _divisor_series(level, d, n_max, eta=False)

@@ -426,20 +426,29 @@ BERNOULLI_MINUS = [
 ]
 
 
-def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
-    """B_k(x) = sum_j C(k,j) B_j x^(k-j) with the minus convention."""
-    return sum(
-        comb(k, j) * BERNOULLI_MINUS[j] * x ** (k - j) for j in range(k + 1)
-    )
+def classical_bernoulli_minus(count: int) -> list:
+    """B_0 .. B_{count-1}, minus convention, from sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1)."""
+    b = [Fraction(1)]
+    for m in range(1, count):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+CLASSICAL_BERNOULLI = classical_bernoulli_minus(65)
 
 
 def bernoulli_chi_polynomial_route(k: int, level: int, chi) -> Fraction:
-    """B_{k,chi} = f^(k-1) sum_{a=1}^{f} chi(a) B_k(a/f), classical formula."""
+    """B_{k,chi} = f^(k-1) sum_{a=1}^{f} chi(a) B_k(a/f), classical formula.
+
+    With B_k(x) = sum_j C(k,j) B_j x^(k-j) (minus convention) and the sum over
+    a taken first: B_{k,chi} = sum_j C(k,j) B_j f^(j-1) sum_a chi(a) a^(k-j).
+    """
+    power_sums = [sum(chi(level, a) * a**m for a in range(1, level + 1)) for m in range(k + 1)]
     total = sum(
-        chi(level, a) * bernoulli_polynomial(k, Fraction(a, level))
-        for a in range(1, level + 1)
+        comb(k, j) * CLASSICAL_BERNOULLI[j] * level**j * power_sums[k - j]
+        for j in range(k + 1)
     )
-    return Fraction(level) ** (k - 1) * total
+    return Fraction(total) / level
 
 
 def multi_partition_sigma_route(r: int, n_max: int) -> list:
@@ -475,3 +484,30 @@ def bernoulli_chi_series_route(k: int, level: int) -> Fraction:
     )
     series = num * den.inverse()
     return Fraction(series.coefficient(k)) * factorial(k)
+
+
+def bernoulli_chi_term_division(k: int, level: int) -> Fraction:
+    """Generalized Bernoulli number B_{k, chi_level} by exact series division.
+
+    Expands sum_{a=1}^{N} chi_N(a) t e^{at} / (e^{Nt} - 1) as a power series
+    in t with rational coefficients and reads off k! times the t^k term.  The
+    division is term by term: b_n = (num_n - sum_{j>=1} den_j b_{n-j}) / den_0.
+    The N = 1 case reproduces the classical numbers with B_1 = +1/2.  This was
+    bernoulli_chi before the per-level table and its recurrence.
+    """
+    # numerator: sum_a chi(a) e^{at} = sum_j (sum_a chi(a) a^j) t^j / j!
+    power_sums = [0] * (k + 1)
+    for a in range(1, level + 1):
+        ca = chi(level, a)
+        if ca:
+            aj = 1
+            for j in range(k + 1):
+                power_sums[j] += ca * aj
+                aj *= a
+    num = [Fraction(s, factorial(j)) for j, s in enumerate(power_sums)]
+    # denominator: (e^{Nt} - 1)/t = sum_j N^{j+1} t^j / (j+1)!
+    den = [Fraction(level ** (j + 1), factorial(j + 1)) for j in range(k + 1)]
+    b = []
+    for n in range(k + 1):
+        b.append((num[n] - sum(den[j] * b[n - j] for j in range(1, n + 1))) / den[0])
+    return b[k] * factorial(k)

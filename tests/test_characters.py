@@ -20,8 +20,11 @@ from cphi.characters import (
 )
 from cphi.radicals import QuarterRadical
 from oracles import (
+    BERNOULLI_MINUS,
     bernoulli_chi_polynomial_route,
     bernoulli_chi_series_route,
+    bernoulli_chi_term_division,
+    classical_bernoulli_minus,
     kronecker_factored,
 )
 
@@ -170,6 +173,39 @@ def test_bernoulli_against_polynomial_route():
 def test_bernoulli_matches_series_route(level):
     for k in range(BERNOULLI_INDEX_BOUND + 1):
         assert bernoulli_chi(k, level) == bernoulli_chi_series_route(k, level), k
+
+
+@pytest.mark.parametrize("level", [1, 5, 7, 11, 13, 35, 55, 77])
+def test_bernoulli_table_matches_both_oracles_in_any_order(monkeypatch, level):
+    ks = list(range(BERNOULLI_INDEX_BOUND + 1))
+    expected = [bernoulli_chi_term_division(k, level) for k in ks]
+    assert expected == [bernoulli_chi_polynomial_route(k, level, chi) for k in ks]
+    shuffled = ks[:]
+    random.Random(level).shuffle(shuffled)
+    for order in (ks, ks[::-1], shuffled):
+        monkeypatch.setattr(characters, "_BERNOULLI_TABLES", {})
+        for k in order:
+            assert bernoulli_chi(k, level) == expected[k], (level, k)
+
+
+def test_bernoulli_table_computes_each_index_once(monkeypatch):
+    computed = []
+
+    class Recording(list):
+        def append(self, value):
+            computed.append(len(self))
+            super().append(value)
+
+    monkeypatch.setattr(characters, "_BERNOULLI_TABLES", {35: Recording()})
+    for k in range(BERNOULLI_INDEX_BOUND + 1):
+        bernoulli_chi(k, 35)
+    for k in (64, 0, 17, 40, 3):
+        bernoulli_chi(k, 35)
+    assert computed == list(range(BERNOULLI_INDEX_BOUND + 1))
+
+
+def test_classical_bernoulli_oracle_matches_known_values():
+    assert classical_bernoulli_minus(len(BERNOULLI_MINUS)) == BERNOULLI_MINUS
 
 
 def test_bernoulli_known_value_and_nonvanishing():

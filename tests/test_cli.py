@@ -11,7 +11,7 @@ import pytest
 import cphi.verify
 from cphi import cli
 from cphi.cli import main
-from cphi.gauss_sums import gauss_sum_numeric
+from cphi.gauss_sums import gauss_sum_by_reduction, gauss_sum_numeric
 from oracles import monomial
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -136,6 +136,31 @@ def test_gauss_rejects_noncoprime(capsys):
     code, _, err = run_cli(capsys, "gauss", "--dim", "2", "--a", "5", "--c", "10")
     assert code == 2
     assert "gcd" in err
+
+
+GAUSS_BOUND_ERROR = "error: gauss needs (dim+1)*c <= 2000000 and (dim+1)*digits(c) <= 8000"
+
+
+@pytest.mark.parametrize(
+    "dim,c", [(20000, 3), (8000, 3), (3000000, 3), (8000, 1), (200, 9973), (0, 2000001)]
+)
+def test_gauss_refuses_inputs_over_its_bound(capsys, dim, c):
+    # over the bound gauss fails before any work; --dim 20000 --c 3 would
+    # otherwise reach a value of more than Python's 4300 printable digits
+    code, out, err = run_cli(capsys, "gauss", "--dim", str(dim), "--a", "1", "--c", str(c))
+    assert code == 2
+    assert out == ""
+    assert err == f"{GAUSS_BOUND_ERROR}, got dim={dim}, c={c}\n"
+
+
+def test_gauss_prints_values_within_its_bound_in_full(capsys):
+    # (7999 + 1) * 1 digit is on the bound; the reduction value has 3390 characters
+    code, out, _ = run_cli(capsys, "gauss", "--dim", "7999", "--a", "1", "--c", "7", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agree"] is True
+    assert payload["reduction"] == str(gauss_sum_by_reduction(7999, 1, 7))
+    assert len(payload["reduction"]) > 3000
 
 
 def test_bernoulli(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cphi.eisenstein
 from cphi.arith import divisors
 from cphi.characters import bernoulli_chi, kronecker
 from cphi.eisenstein import (
@@ -83,6 +84,30 @@ def test_coefficient_routes_agree_exactly():
         assert eisenstein_coefficient(level, n) == eisenstein_coefficient_factored(
             level, n
         ), (level, n)
+
+
+@pytest.mark.parametrize("level", [55, 77])
+def test_coefficient_routes_agree_at_composite_levels(level):
+    for n in range(1, 201):
+        assert eisenstein_coefficient(level, n) == eisenstein_coefficient_factored(
+            level, n
+        ), (level, n)
+
+
+def test_factored_sweep_reads_signs_from_the_profile(monkeypatch):
+    # the profile checks every divisor's sign once; a sweep neither recomputes
+    # a sign nor factorizes n more than once
+    eisenstein_profile(35)
+    signs, factorized = [], []
+    sign, factorize = cphi.eisenstein.eisenstein_sign, cphi.eisenstein.factorize
+    monkeypatch.setattr(cphi.eisenstein, "eisenstein_sign",
+                        lambda d, level: signs.append(d) or sign(d, level))
+    monkeypatch.setattr(cphi.eisenstein, "factorize",
+                        lambda n: factorized.append(n) or factorize(n))
+    for n in range(1, 601):
+        eisenstein_coefficient_factored(35, n)
+    assert signs == []
+    assert factorized == list(range(1, 601))
 
 
 def test_aggregate_coefficient_matches_series():

@@ -68,6 +68,11 @@ def test_theta_matches_half_dp_at_workload_sizes(level, n_max):
     assert new == theta_series_half_dp(level, n_max).coefficients()
 
 
+@pytest.mark.parametrize("level", [55, 65, 77])
+def test_theta_matches_half_dp_at_composite_levels(level):
+    assert theta_series(level, 40).coefficients() == theta_series_half_dp(level, 40).coefficients()
+
+
 def test_theta_rejects_negative_truncation():
     with pytest.raises(ValueError):
         theta_series(5, -1)
@@ -131,7 +136,8 @@ def test_theta_cusp_constant_two_routes():
 
 
 @pytest.mark.parametrize(
-    "level,n_max", [(1, 40), (5, 40), (7, 40), (11, 30), (13, 30), (23, 25), (35, 20)]
+    "level,n_max",
+    [(1, 40), (5, 40), (7, 40), (11, 30), (13, 30), (23, 25), (35, 20), (55, 30), (65, 30), (77, 30)],
 )
 def test_cphi_matches_andrews_constant_term(level, n_max):
     # the independent route that the report's main-identity check is not:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cphi.characters
 import cphi.eta_partition
 import cphi.qseries
 import cphi.theta
@@ -251,8 +252,8 @@ def test_verify_runs_no_series_product(monkeypatch, level, n_max):
 
 
 def test_eta_factors_run_no_series_product(monkeypatch):
-    # every (q^d;q^d)^k factor is a pentagonal pass, and bernoulli_chi divides
-    # plain Fraction lists: none of them reaches the series product
+    # every (q^d;q^d)^k factor is a pentagonal pass, and bernoulli_chi runs its
+    # recurrence on a cold table: none of them reaches the series product
     calls = []
     convolve = cphi.qseries._convolve
 
@@ -261,10 +262,11 @@ def test_eta_factors_run_no_series_product(monkeypatch):
         return convolve(a, b, out_len)
 
     monkeypatch.setattr(cphi.qseries, "_convolve", counting)
+    monkeypatch.setattr(cphi.characters, "_BERNOULLI_TABLES", {})
     for level in (5, 13, 35):
         for d in divisors(level):
             eta_quotient_series(level, d, 120)
-        bernoulli_chi.__wrapped__((level - 1) // 2, level)
+        bernoulli_chi((level - 1) // 2, level)
     multi_partition_series(13, 200)
     eta13_series.__wrapped__(200)
     assert calls == []
