@@ -152,6 +152,24 @@ def sigma_twisted(k: int, level: int, d: int, n: int) -> int:
     return total
 
 
+def twisted_divisor_sums(k: int, level: int, n: int) -> dict:
+    """{d: sigma_twisted(k, level, d, n)} for every d | N, N a valid level.
+
+    chi_d = prod_{p | d} chi_p, so divisors(n) once and chi_p(t) once per prime
+    p | N and t | n give chi_d(t) and chi_{N/d}(n/t) for every d.
+    """
+    if k < 0:
+        raise ValueError("negative weight exponent")
+    ctx = context(level)
+    chis = {t: {1: 1} for t in divisors(n)}  # chis[t][d] = chi_d(t); divisors rejects n < 1
+    for p in ctx.prime_factors:
+        for t, row in chis.items():
+            c = chi(p, t)
+            row.update([(d * p, s * c) for d, s in row.items()])
+    return {d: sum(row[d] * chis[n // t][level // d] * t**k for t, row in chis.items())
+            for d in ctx.divisors}
+
+
 @dataclass(frozen=True)
 class CharacterContext:
     """A valid level N with its divisor lattice and prime factors."""

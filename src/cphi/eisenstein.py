@@ -21,6 +21,7 @@ from .characters import (
     eisenstein_sign,
     kronecker,
     sigma_twisted,
+    twisted_divisor_sums,
 )
 from .qseries import QSeries
 
@@ -73,10 +74,9 @@ def eisenstein_coefficient(level: int, n: int) -> Fraction:
         raise ValueError("coefficients start at n = 1")
     profile = eisenstein_profile(level)
     k = (level - 3) // 2
-    total = Fraction(0)
-    for term in profile.terms:
-        total += term.sigma_scale * sigma_twisted(k, level, term.d, n)
-    return total
+    sums = twisted_divisor_sums(k, level, n)
+    # sigma_scale = prefactor * C(d,N) * (N/d)^k, summed in integers
+    return profile.prefactor * sum(t.sign * (level // t.d) ** k * sums[t.d] for t in profile.terms)
 
 
 def eisenstein_coefficient_factored(level: int, n: int) -> Fraction:

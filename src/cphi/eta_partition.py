@@ -101,8 +101,8 @@ def partition_count(x) -> int:
     if x < 0:
         return 0
     if x >= len(_partition_table):
-        # at least double, so a run of increasing lookups extends O(log x) times
-        partition_numbers(max(x, 2 * len(_partition_table)))
+        # double the length (P(0..m) has m + 1 entries): O(log x) extensions
+        partition_numbers(max(x, 2 * len(_partition_table) - 1))
     return _partition_table[x]
 
 

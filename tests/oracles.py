@@ -278,6 +278,42 @@ def theta_series_lane_dp(level: int, n_max: int) -> QSeries:
     return QSeries(0, coeffs, n_max)
 
 
+def theta_series_mod_n(level: int, n_max: int) -> QSeries:
+    """theta_series by the mod-N residue DP it replaced, kept as a differential oracle.
+
+    N//2 + 1 folded residues, each one big integer whose lane k counts
+    partial norm k for k = 0..2n, N * bits(2v+1) bits wide; the join is one
+    product of (2n+1)-lane integers per residue, read at the even lanes.
+    """
+    validate_level(level)
+    if n_max < 0:
+        raise ValueError("negative truncation")
+    v_cap = isqrt(2 * n_max)
+    lane_bits = -(-level * (2 * v_cap + 1).bit_length() // 8) * 8
+    lanes = 2 * n_max + 1
+    mask = (1 << lane_bits * lanes) - 1
+    residues = range(level // 2 + 1)
+    fold = {r: min(r % level, -r % level) for r in range(-v_cap, level // 2 + v_cap + 1)}
+    state = [1] + [0] * (level // 2)
+    for layer in range((level + 1) // 2):
+        if layer == level // 2:
+            half = state
+        state = [
+            (state[t] + sum((state[fold[t - u]] + state[fold[t + u]]) << lane_bits * u * u
+                            for u in range(1, v_cap + 1))) & mask
+            for t in residues
+        ]
+    total = sum((p * h) << (t != 0) for t, p, h in zip(residues, state, half)) & mask
+    nbytes = lane_bits // 8
+    data = total.to_bytes(nbytes * lanes, "little")
+    coeffs = [int.from_bytes(data[i : i + nbytes], "little")
+              for i in range(0, len(data), 2 * nbytes)]
+    step = 2 * level
+    for j in range(step, n_max + 1):
+        coeffs[j] -= 2 * sum(coeffs[j - step * m * m] for m in range(1, isqrt(j // step) + 1))
+    return QSeries(0, coeffs, n_max)
+
+
 def theta_series_half_dp(level: int, n_max: int) -> QSeries:
     """theta_series by the half-length DP it replaced, kept as a differential oracle.
 

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cphi import characters
+from cphi import characters, eisenstein
 from cphi.arith import divisors
 from cphi.characters import (
     BERNOULLI_INDEX_BOUND,
@@ -16,6 +16,7 @@ from cphi.characters import (
     gauss_w,
     kronecker,
     sigma_twisted,
+    twisted_divisor_sums,
     unit_a,
 )
 from cphi.radicals import QuarterRadical
@@ -266,6 +267,41 @@ def test_sigma_twisted_scaling_law():
             assert sigma_twisted(k, level, d, n * m) == chi(
                 d, m
             ) * m**k * sigma_twisted(k, level, d, n)
+
+
+@pytest.mark.parametrize("level", [13, 35, 55, 77])
+def test_twisted_divisor_sums_match_sigma_twisted(level):
+    k = (level - 3) // 2
+    for n in range(1, 601):
+        sums = twisted_divisor_sums(k, level, n)
+        assert list(sums) == list(divisors(level))
+        for d in divisors(level):
+            assert sums[d] == sigma_twisted(k, level, d, n), (level, d, n)
+    with pytest.raises(ValueError):
+        twisted_divisor_sums(k, level, 0)
+    with pytest.raises(ValueError):
+        twisted_divisor_sums(-1, level, 5)
+
+
+def test_eisenstein_coefficient_factors_each_n_once(monkeypatch):
+    # one divisors(n) for all d | N, and chi_p(t) once per prime p | N and t | n
+    eisenstein.eisenstein_profile(35)
+    calls = {"divisors": 0, "chi": 0}
+    real_divisors, real_chi = characters.divisors, characters.chi
+
+    def counting_divisors(n):
+        calls["divisors"] += 1
+        return real_divisors(n)
+
+    def counting_chi(a, b):
+        calls["chi"] += 1
+        return real_chi(a, b)
+
+    monkeypatch.setattr(characters, "divisors", counting_divisors)
+    monkeypatch.setattr(characters, "chi", counting_chi)
+    eisenstein.theta_eisenstein_series(35, 60)
+    assert calls["divisors"] == 60
+    assert calls["chi"] == 2 * sum(len(real_divisors(n)) for n in range(1, 61))
 
 
 def test_context_validation():

@@ -1,18 +1,21 @@
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt
 
 import pytest
 
+import cphi.theta
 from cphi.arith import divisors, is_squarefree
 from cphi.eta_partition import partition_count
 from cphi.gauss_sums import gauss_sum_closed
 from cphi.radicals import QuarterRadical
-from cphi.theta import cphi_series, theta_cusp_constant, theta_series
+from cphi.theta import cphi_series, lane_bits, theta_cusp_constant, theta_series
 from oracles import (
     cphi_constant_term,
     theta_counts_dfs,
     theta_series_half_dp,
     theta_series_lane_dp,
+    theta_series_mod_n,
 )
 
 
@@ -50,16 +53,58 @@ def test_theta_matches_lane_dp(level, n_max):
 LEVELS = [n for n in range(1, 36) if gcd(n, 6) == 1 and is_squarefree(n)]
 
 
-@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("level", LEVELS + [55, 65, 77])
 def test_theta_matches_both_oracles_where_the_coset_terms_enter(level):
     # the lanes hold theta * sum_m q^(2N m^2): m = 1 enters at n = 2N, m = 2 at
-    # 8N.  Both oracles run once at 8N+1; their coefficients do not depend on
+    # 8N.  The oracles run once at 8N+1; their coefficients do not depend on
     # the truncation, while theta_series' lane width and entry range do.
     top = 8 * level + 1
     half = theta_series_half_dp(level, top).coefficients()
-    assert theta_series_lane_dp(level, top).coefficients() == half
+    assert theta_series_mod_n(level, top).coefficients() == half
+    if level < 55:  # the full-length lane DP needs minutes at the composite levels
+        assert theta_series_lane_dp(level, top).coefficients() == half
     for n in (0, 1, 2 * level - 1, 2 * level, 2 * level + 1, 8 * level, top):
         assert theta_series(level, n).coefficients() == half[: n + 1], (level, n)
+
+
+@lru_cache(maxsize=None)
+def _ball_points(dim: int, budget: int) -> int:
+    """#{y in Z^dim : |y|^2 <= budget}, entry by entry."""
+    if dim == 0:
+        return 1
+    return sum(_ball_points(dim - 1, budget - u * u)
+               for u in range(-isqrt(budget), isqrt(budget) + 1))
+
+
+@pytest.mark.parametrize("level", LEVELS + [55, 65, 77])
+def test_lane_bits_hold_every_vector_of_norm_at_most_2n(level):
+    for n in list(range(13)) + [40, 100]:
+        assert lane_bits(level, n) >= _ball_points(level, 2 * n).bit_length(), (level, n)
+
+
+@pytest.mark.parametrize("level", LEVELS + [55, 65, 77])
+def test_lane_bits_never_wider_than_the_entry_box(level):
+    # the width the mod-N DP used: N entries in [-v, v]
+    for n in list(range(60)) + [200, 600, 1600, 5000]:
+        box = level * (2 * isqrt(2 * n) + 1).bit_length()
+        assert lane_bits(level, n) % 8 == 0
+        assert lane_bits(level, n) <= -(-box // 8) * 8, (level, n)
+
+
+@pytest.mark.parametrize("level,n_max", [(5, 120), (13, 60), (35, 40)])
+def test_theta_fails_one_byte_below_the_largest_lane(monkeypatch, level, n_max):
+    # the join's lane j counts y with sum y = 0 mod 2N and |y|^2 = 2j, that is
+    # sum_m theta(j - 2N m^2) over m in Z; one byte below its largest value, a
+    # lane overflows and the coefficients go wrong
+    theta = theta_series_mod_n(level, n_max).coefficients()
+    lanes = [sum(theta[j - 2 * level * m * m] for m in range(-isqrt(j // (2 * level)),
+                                                          isqrt(j // (2 * level)) + 1))
+             for j in range(n_max + 1)]
+    narrow = -(-max(lanes).bit_length() // 8) * 8 - 8
+    assert narrow < lane_bits(level, n_max)
+    assert theta_series.__wrapped__(level, n_max).coefficients() == theta
+    monkeypatch.setattr(cphi.theta, "lane_bits", lambda level, n_max: narrow)
+    assert theta_series.__wrapped__(level, n_max).coefficients() != theta
 
 
 @pytest.mark.parametrize("level,n_max", [(5, 1600), (13, 600), (35, 200)])
