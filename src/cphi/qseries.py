@@ -10,7 +10,12 @@ Every eta factor (q^d;q^d)_infinity**k is applied by one primitive,
 times_eta_power(series, k, d), without a product.  (q^d;q^d) is a series in
 q**d, so it maps the coefficients at exponents = r mod d only to exponents = r
 mod d: each residue class is a series in its own right, and the factor acts
-on it as (q;q)**k does, by |k| add-only passes over the pentagonal terms.
+on it as (q;q)**k does.  That is |k| // 3 passes of Jacobi's cube
+(q;q)**3 = sum_m (-1)**m (2m+1) q**(m(m+1)/2), about sqrt(2n) weighted terms,
+and |k| mod 3 add-only passes over the about 1.63 sqrt(n) pentagonal terms of
+(q;q), so three factors cost about a third of three pentagonal passes.  The
+partition table stays on the add-only pentagonal pass: it divides by (q;q)
+once per extension, and one weighted kernel for both made it slower.
 The product of two series is the plain truncated double loop; pow and the
 tests use it.
 """
@@ -284,23 +289,57 @@ def eta_pass(part: list, plus: list, minus: list, k: int, start: int = 1) -> Non
         part[n] += acc if k > 0 else -acc
 
 
+def cube_terms(trunc: int) -> list:
+    """The (j, a_j) with 1 <= j <= trunc and a_j != 0 in (q;q)_infinity**3 = sum a_j q**j.
+
+    Jacobi's identity: a_j = (-1)**m (2m+1) at the triangular numbers
+    j = m(m+1)/2, and 0 elsewhere.
+    """
+    terms, m = [], 1
+    while m * (m + 1) // 2 <= trunc:
+        terms.append((m * (m + 1) // 2, -(2 * m + 1) if m & 1 else 2 * m + 1))
+        m += 1
+    return terms
+
+
+def cube_pass(part: list, terms: list, k: int) -> None:
+    """One pass multiplying the list part in place by (q;q)_infinity**3 (k > 0) or dividing by it.
+
+    terms = cube_terms(m) for some m >= len(part) - 1; the walk is eta_pass's,
+    with each term weighted by its a_j.
+    """
+    for n in range(len(part) - 1, 0, -1) if k > 0 else range(1, len(part)):
+        acc = 0
+        for j, a in terms:
+            if j > n:
+                break
+            acc += a * part[n - j]
+        part[n] += acc if k > 0 else -acc
+
+
 def times_eta_power(series: QSeries, k: int, d: int = 1) -> QSeries:
     """series * (q^d;q^d)_infinity**k exact through series.trunc, for any integer k.
 
     (q^d;q^d) = 1 + sum a_j q**(d j) acts on each residue class c[r::d] of the
     coefficients on its own, as (q;q) does on a series; a class with no
-    nonzero coefficient stays zero and is skipped.  a_j = +-1 at the O(sqrt n)
-    pentagonal j > 0, so each of the |k| eta_pass calls over a class only adds.
+    nonzero coefficient stays zero and is skipped.  Each nonzero class gets
+    |k| // 3 cube_pass calls, each one (q;q)**3 by Jacobi's identity, and
+    |k| mod 3 add-only eta_pass calls over the pentagonal terms.  The term
+    lists are built once per call and shared by the classes.
     """
     if d < 1:
         raise ValueError(f"(q^d;q^d) needs d >= 1, got d={d}")
     c = list(series.coeffs)
-    plus, minus = pentagonal_terms(max((len(c) - 1) // d, 0))
+    length = max((len(c) - 1) // d, 0)
+    cubes, rest = divmod(abs(k), 3)
+    terms, (plus, minus) = cube_terms(length), pentagonal_terms(length)
     for r in range(min(d, len(c))):
         part = c[r::d]
         if not any(part):
             continue
-        for _ in range(abs(k)):
+        for _ in range(cubes):
+            cube_pass(part, terms, k)
+        for _ in range(rest):
             eta_pass(part, plus, minus, k)
         c[r::d] = part
     return QSeries(series.valuation, c, series.trunc)

@@ -293,21 +293,20 @@ def _nonvanishing_scan(level, n_max, tol):
 
 
 def _asymptotic(level, n_max, tol):
+    # where b = 0 (kolitsch-spot-identities, residual-vanishes) r = 1 exactly,
+    # and with no nonzero main term at nMax and nMax/4 there is no trend
+    if level in ZERO_RESIDUAL_LEVELS:
+        return
     cphi, main = cphi_series(level, n_max), main_term_series(level, n_max)
     quarter = -(-n_max // 4)
     if not (main.coefficient(n_max) and main.coefficient(quarter)):
-        yield CheckResult(
-            "asymptotic-trend",
-            True,
-            "insufficient nonzero main-term range for a trend comparison",
-        )
         return
     devN, devQ = (
         abs(Fraction(cphi.coefficient(n), main.coefficient(n)) - 1) for n in (n_max, quarter)
     )
     yield CheckResult(
         "asymptotic-trend",
-        devN < devQ or (devN == 0 and devQ == 0),
+        devN < devQ or devN == 0,
         f"|r({n_max})-1| = {decimal_str(devN)} vs |r({quarter})-1| = {decimal_str(devQ)}",
     )
     if level == 13:

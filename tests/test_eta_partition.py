@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import cphi.qseries
 from cphi import eta_partition
 from cphi.arith import divisors
 from cphi.eta_partition import (
@@ -175,6 +176,19 @@ def test_partition_lookups_rebuild_logarithmically(monkeypatch):
     assert table == list(eta_power(-1, len(table) - 1).coeffs)
     assert table[:601] == list(eta_power_miller(-1, 600).coeffs)
     assert partition_numbers(30) == [partitions_brute(n) for n in range(31)]
+
+
+def test_partition_table_extends_by_one_pentagonal_pass(monkeypatch):
+    # the table stays on the add-only pass: one eta_pass per extension, no cube pass
+    calls = []
+    monkeypatch.setattr(eta_partition, "_partition_table", [1])
+    monkeypatch.setattr(eta_partition, "eta_pass",
+                        lambda *args: calls.append("eta_pass") or cphi.qseries.eta_pass(*args))
+    monkeypatch.setattr(cphi.qseries, "cube_pass", lambda *args: calls.append("cube_pass"))
+    for n_max, extensions in ((100, 1), (60, 1), (100, 1), (450, 2), (2000, 3)):
+        partition_numbers(n_max)
+        assert calls == ["eta_pass"] * extensions, n_max
+    assert partition_numbers(2000) == list(eta_power_miller(-1, 2000).coeffs)
 
 
 def test_scaled_partition_terms():

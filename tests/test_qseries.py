@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import cphi.qseries
+from cphi.arith import divisors
 from cphi.qseries import (
     QSeries,
     _convolve,
+    cube_terms,
     eta_power,
     euler_coefficients,
     euler_product,
@@ -23,6 +26,7 @@ from oracles import (
     monomial,
     partitions_brute,
     rescale,
+    times_eta_power_pentagonal,
     u_operator,
 )
 
@@ -217,12 +221,66 @@ def residue_class_cases():
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 13])
 def test_times_eta_power_residue_classes(d):
     # (q^d;q^d)^k as Miller's (q;q)^k with q -> q**d, and one series product
+    # |k| <= 7: zero, one or two cube passes, each with 0, 1 or 2 pentagonal ones
     for s in residue_class_cases():
-        for k in range(-3, 4):
+        for k in range(-7, 8):
             n = s.trunc
             expected = (s * rescale(eta_power_miller(k, n // d), d)).crop(n)
             got = times_eta_power(s, k, d)
             assert got.trunc == n and got == expected, (s, k, d)
+
+
+def test_cube_terms_match_miller():
+    # Jacobi's identity against Miller's recurrence for (q;q)**3, at every truncation
+    cube = eta_power_miller(3, 2000).coeffs
+    assert cube[0] == 1
+    nonzero = [(j, a) for j, a in enumerate(cube) if j and a]
+    for n in range(2001):
+        assert cube_terms(n) == [(j, a) for j, a in nonzero if j <= n], n
+
+
+@pytest.mark.parametrize("level,n", [(1, 300), (5, 300), (7, 200), (11, 200), (13, 200),
+                                     (17, 120), (19, 120), (23, 100), (29, 80), (31, 80),
+                                     (35, 80), (55, 40), (65, 40), (77, 40)])
+def test_times_eta_power_matches_pentagonal_passes_on_theta(level, n):
+    theta = theta_series(level, n)
+    for d in divisors(level):
+        for k in (-level, level):
+            assert times_eta_power(theta, k, d) == times_eta_power_pentagonal(theta, k, d), (k, d)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_times_eta_power_matches_pentagonal_passes_random(kind):
+    rng = random.Random(f"eta-{kind}")
+    for _ in range(40):
+        valuation = rng.randint(0, 4)
+        coeffs = random_coefficients(rng, rng.randint(1, 90), kind)
+        coeffs[0] = coeffs[0] or 1
+        s = QSeries(valuation, coeffs, valuation + len(coeffs) - 1)
+        k, d = rng.randint(-14, 14), rng.choice((1, 2, 3, 5, 7, 13))
+        assert times_eta_power(s, k, d) == times_eta_power_pentagonal(s, k, d), (s, k, d)
+
+
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("k", [-13, 13, -5, 4, -2, 1])
+def test_times_eta_power_pass_counts(monkeypatch, k, d):
+    # |k| // 3 cube passes and |k| mod 3 pentagonal passes per nonzero class
+    calls = []
+    for name in ("cube_pass", "eta_pass"):
+        original = getattr(cphi.qseries, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            _original(*args)
+
+        monkeypatch.setattr(cphi.qseries, name, counting)
+    # the class of exponents = 3 mod 5 is zero
+    s = QSeries(0, [0 if n % 5 == 3 else n + 1 for n in range(41)], 40)
+    nonzero_classes = 1 if d == 1 else 4
+    got = times_eta_power(s, k, d)
+    assert calls.count("cube_pass") == abs(k) // 3 * nonzero_classes
+    assert calls.count("eta_pass") == abs(k) % 3 * nonzero_classes
+    assert got == times_eta_power_pentagonal(s, k, d)
 
 
 def test_times_eta_power_rejects_nonpositive_d():

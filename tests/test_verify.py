@@ -116,6 +116,29 @@ def test_asymptotic_ratios_skip_zero_main():
     assert all(m >= 1 for m, _ in ratios)
 
 
+@pytest.mark.parametrize("level,n_max", [(1, 60), (5, 200), (7, 60), (11, 60), (35, 1), (35, 3)])
+def test_asymptotic_trend_not_reported_where_it_cannot_fail(level, n_max):
+    # b = 0 fixes r = 1 at N = 1, 5, 7, 11; at 35@1 and 35@3 the main term
+    # vanishes at nMax/4, so there is no trend to compare
+    report = run_verification(level, n_max)
+    names = [c.name for c in report.checks]
+    assert "asymptotic-trend" not in names
+    assert "asymptotic-tolerance" not in names
+
+
+def test_asymptotic_trend_can_fail(monkeypatch):
+    level, n_max = 13, 200
+    main = main_term_series(level, n_max)
+    report = run_verification(level, n_max)
+    assert report.check("asymptotic-trend").passed
+    # doubling cphi(nMax) puts r(nMax) at 2, farther from 1 than r(50)
+    monkeypatch.setattr(cphi.verify, "cphi_series", lambda level, n_max: main + monomial(
+        main.coefficient(n_max), n_max, n_max))
+    trend, tolerance = cphi.verify._asymptotic(level, n_max, 0.1)
+    assert not trend.passed and trend.name == "asymptotic-trend"
+    assert not tolerance.passed
+
+
 def test_decimal_rendering():
     assert decimal_str(Fraction(169, 143)) == "1.181818181818"
     assert decimal_str(Fraction(1)) == "1.000000000000"
