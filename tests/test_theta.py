@@ -185,6 +185,6 @@ def test_theta_cusp_constant_two_routes():
     [(1, 40), (5, 40), (7, 40), (11, 30), (13, 30), (23, 25), (35, 20), (55, 30), (65, 30), (77, 30)],
 )
 def test_cphi_matches_andrews_constant_term(level, n_max):
-    # the independent route that the report's main-identity check is not:
-    # b is cphi - main, so that check holds by construction
+    # the independent test of cphi: b is cphi - main, so the main identity
+    # holds by construction and the report does not check it
     assert cphi_series(level, n_max).coefficients() == cphi_constant_term(level, n_max)

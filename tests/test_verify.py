@@ -8,12 +8,18 @@ import cphi.eta_partition
 import cphi.qseries
 import cphi.theta
 import cphi.verify
-from cphi.arith import divisors
+from cphi.arith import divisors, is_squarefree
 from cphi.characters import bernoulli_chi
-from cphi.eta_partition import eta_quotient_series, multi_partition_series, partition_count
+from cphi.eta_partition import (
+    eta_quotient_series,
+    main_term,
+    multi_partition_series,
+    partition_count,
+)
 from cphi.qseries import QSeries
 from cphi.theta import cphi_series, theta_series
 from cphi.verify import (
+    B1_TABLE,
     asymptotic_ratios,
     correction_series,
     decimal_str,
@@ -160,7 +166,6 @@ def test_report_structure_and_json_round_trip():
     for entry in payload["checks"]:
         assert set(entry) == {"name", "pass", "detail"}
     assert all(len(pair) == 2 for pair in payload["ratios"])
-    assert len(report.residual_coeffs) == 61
     assert len(report.b_coeffs) == 61
 
 
@@ -179,10 +184,6 @@ def test_report_levels_13_expectations():
     assert report.check("b1-value").passed
     assert report.check("cwy13-eta-series").passed
     assert report.check("residual-nonzero").passed
-    growth = report.check("coefficient-growth")
-    assert growth.passed and "reported only" in growth.detail
-    note = report.check("scope-note")
-    assert "not decidable at finite truncation" in note.detail
 
 
 def test_report_level1():
@@ -313,3 +314,80 @@ def test_sturm_coverage_fail_wording():
     assert run_verification(35, 68).check("sturm-coverage").detail == (
         "nMax=68 covers Sturm bound 68"
     )
+
+
+def valid_levels(upto):
+    return [n for n in range(1, upto + 1) if n % 2 and n % 3 and is_squarefree(n)]
+
+
+def test_main_term_at_one_vanishes_above_23():
+    # at n = 1 the partition argument is (24N - N^2 + d^2) / (24 d^2); a proper
+    # divisor d of N has d <= N/5 (N is prime to 6), which makes it negative for
+    # N > 25, and at d = N it is 1/N, not an integer: so b(1) = cphi(1) there
+    for level in valid_levels(1000):
+        if level >= 25:
+            assert main_term(level, 1) == 0, level
+
+
+@pytest.mark.parametrize("level", valid_levels(35))
+def test_b1_value_reported_only_at_table_levels(level):
+    names = [c.name for c in run_verification(level, 2).checks]
+    assert ("b1-value" in names) == (level in B1_TABLE)
+
+
+def _plus(coeff, power):
+    # the series function f with coeff * q^power added to its value
+    return lambda f: lambda *key: f(*key) + monomial(coeff, power, key[-1])
+
+
+def _replace(series):
+    # the series function replaced by series(nMax), whatever its level
+    return lambda f: lambda level, n_max: series(n_max)
+
+
+def _double_top(f):
+    return lambda level, n_max: f(level, n_max) + monomial(
+        f(level, n_max).coefficient(n_max), n_max, n_max)
+
+
+# one mutation per reported check: (level, nMax, name in cphi.verify, wrapper)
+CHECK_MUTATIONS = {
+    "residual-constant-term": (13, 60, "residual_series", _plus(1, 0)),
+    "residual-vanishes": (5, 60, "residual_series", _plus(1, 3)),
+    "residual-nonzero": (13, 60, "residual_series", _replace(QSeries.zero)),
+    "cwy13-eta-series": (13, 60, "eta13_series", _plus(1, 5)),
+    "b1-value": (17, 60, "correction_series", _plus(1, 1)),
+    "cphi1-square": (5, 60, "cphi_series", _plus(1, 1)),
+    "sturm-coverage": (13, 60, "sturm_bound", lambda f: lambda level: f(level) + 60),
+    "nonvanishing-scan": (13, 60, "correction_series", _replace(lambda n: monomial(1, 1, n))),
+    "asymptotic-trend": (13, 60, "cphi_series", _double_top),
+    "asymptotic-tolerance": (13, 60, "cphi_series", _double_top),
+}
+
+
+@pytest.fixture
+def fresh_series_caches():
+    # a mutated series must not stay cached for later tests
+    clear_series_caches()
+    yield
+    clear_series_caches()
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MUTATIONS))
+def test_every_check_can_fail(monkeypatch, fresh_series_caches, name):
+    level, n_max, target, wrap = CHECK_MUTATIONS[name]
+    assert run_verification(level, n_max).check(name).passed
+    monkeypatch.setattr(cphi.verify, target, wrap(getattr(cphi.verify, target)))
+    report = run_verification(level, n_max)
+    assert not report.check(name).passed
+    assert not report.all_passed
+    assert report.to_text().endswith("  overall: FAIL")
+
+
+def test_every_reported_check_has_a_mutation():
+    names = {
+        c.name
+        for level, n_max in ((1, 30), (5, 60), (13, 60), (35, 68))
+        for c in run_verification(level, n_max).checks
+    }
+    assert names == set(CHECK_MUTATIONS)
