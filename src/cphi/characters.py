@@ -9,7 +9,6 @@ generalized Bernoulli numbers and twisted divisor sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -160,28 +159,18 @@ def twisted_divisor_sums(k: int, level: int, n: int) -> dict:
     """
     if k < 0:
         raise ValueError("negative weight exponent")
-    ctx = context(level)
+    level_divisors, level_primes = context(level)
     chis = {t: {1: 1} for t in divisors(n)}  # chis[t][d] = chi_d(t); divisors rejects n < 1
-    for p in ctx.prime_factors:
+    for p in level_primes:
         for t, row in chis.items():
             c = chi(p, t)
             row.update([(d * p, s * c) for d, s in row.items()])
     return {d: sum(row[d] * chis[n // t][level // d] * t**k for t, row in chis.items())
-            for d in ctx.divisors}
-
-
-@dataclass(frozen=True)
-class CharacterContext:
-    """A valid level N with its divisor lattice and prime factors."""
-
-    level: int
-    divisors: tuple
-    prime_factors: tuple
+            for d in level_divisors}
 
 
 @lru_cache(maxsize=None)
-def context(level: int) -> CharacterContext:
+def context(level: int) -> tuple:
+    """(divisors, prime factors) of a valid level N, as tuples."""
     validate_level(level)
-    return CharacterContext(
-        level, tuple(divisors(level)), tuple(prime_factors(level))
-    )
+    return tuple(divisors(level)), tuple(prime_factors(level))

@@ -9,7 +9,6 @@ multiplicative evaluation route used as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,57 +25,28 @@ from .characters import (
 from .qseries import QSeries
 
 
-@dataclass(frozen=True)
-class DivisorTerm:
-    d: int
-    sign: int  # C(d, N)
-    sigma_scale: Fraction  # (1-N)/B * C(d,N) * (N/d)^((N-3)/2)
-    eta_scale: Fraction  # (1-N)/B * (N/d|d) * C(d,N) * d/N
-
-
-@dataclass(frozen=True)
-class EisensteinProfile:
-    level: int
-    weight_index: int  # (N-1)/2
-    bernoulli: Fraction  # B_{(N-1)/2, chi_N}
-    prefactor: Fraction  # (1-N)/B
-    terms: tuple  # DivisorTerm per divisor of N
-
-
 @lru_cache(maxsize=None)
-def eisenstein_profile(level: int) -> EisensteinProfile:
-    ctx = context(level)
+def eisenstein_profile(level: int) -> tuple:
+    """(prefactor (1-N)/B_{(N-1)/2,chi_N}, {d: C(d, N)} over the divisors of N)."""
+    level_divisors, _ = context(level)
     if level < 5:
         raise ValueError(f"N={level}: Eisenstein weight (N-1)/2 needs N >= 5")
     k = (level - 1) // 2
     bern = bernoulli_chi(k, level)
     if bern == 0:
         raise ArithmeticError(f"B_({k}, chi_{level}) vanishes")
-    prefactor = Fraction(1 - level) / bern
-    terms = []
-    for d in ctx.divisors:
-        sign = eisenstein_sign(d, level)
-        m = level // d
-        terms.append(
-            DivisorTerm(
-                d=d,
-                sign=sign,
-                sigma_scale=prefactor * sign * m ** ((level - 3) // 2),
-                eta_scale=prefactor * kronecker(m, d) * sign * Fraction(d, level),
-            )
-        )
-    return EisensteinProfile(level, k, bern, prefactor, tuple(terms))
+    return Fraction(1 - level) / bern, {d: eisenstein_sign(d, level) for d in level_divisors}
 
 
 def eisenstein_coefficient(level: int, n: int) -> Fraction:
     """Coefficient of q**n (n >= 1) in the theta Eisenstein part, divisor-sum route."""
     if n < 1:
         raise ValueError("coefficients start at n = 1")
-    profile = eisenstein_profile(level)
+    prefactor, signs = eisenstein_profile(level)
     k = (level - 3) // 2
     sums = twisted_divisor_sums(k, level, n)
-    # sigma_scale = prefactor * C(d,N) * (N/d)^k, summed in integers
-    return profile.prefactor * sum(t.sign * (level // t.d) ** k * sums[t.d] for t in profile.terms)
+    # prefactor * C(d,N) * (N/d)^k per divisor, summed in integers
+    return prefactor * sum(sign * (level // d) ** k * sums[d] for d, sign in signs.items())
 
 
 def eisenstein_coefficient_factored(level: int, n: int) -> Fraction:
@@ -88,10 +58,10 @@ def eisenstein_coefficient_factored(level: int, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("coefficients start at n = 1")
-    profile = eisenstein_profile(level)
+    prefactor, signs = eisenstein_profile(level)
     k = (level - 3) // 2
     sign8 = kronecker(-8, level)
-    lead = sign8 * profile.prefactor * level**k
+    lead = sign8 * prefactor * level**k
     factors = factorize(n)
     geom = Fraction(1)
     for p, e in factors:
@@ -100,9 +70,8 @@ def eisenstein_coefficient_factored(level: int, n: int) -> Fraction:
         else:
             x = chi(level, p)
             geom *= Fraction(p ** (k * (e + 1)) - x ** (e + 1), p**k - x)
-    signs = {term.d: term.sign for term in profile.terms}
     local = Fraction(1)
-    for s in context(level).prime_factors:
+    for s in context(level)[1]:
         t = Fraction(1)
         for p, e in factors:
             if p == s:
@@ -122,8 +91,11 @@ def theta_eisenstein_series(level: int, n_max: int) -> QSeries:
 
 def _divisor_series(level: int, d: int, n_max: int, eta: bool) -> QSeries:
     """[d = N] + sum_n scale * sigma_{(N-3)/2}(chi_{N/d}, chi_d; n) q^n for divisor d."""
-    term = next(t for t in eisenstein_profile(level).terms if t.d == d)
-    scale = term.eta_scale if eta else term.sigma_scale
+    prefactor, signs = eisenstein_profile(level)
+    m = level // d
+    # (1-N)/B * C(d,N) times (N/d|d) d/N for the eta quotient, (N/d)^((N-3)/2) otherwise
+    weight = kronecker(m, d) * Fraction(d, level) if eta else m ** ((level - 3) // 2)
+    scale = prefactor * signs[d] * weight
     coeffs = [Fraction(1 if d == level else 0)]
     coeffs += [scale * sigma_twisted((level - 3) // 2, level, d, n) for n in range(1, n_max + 1)]
     return QSeries(0, coeffs, n_max)

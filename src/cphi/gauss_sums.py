@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, pi
 
 from .arith import check_divides, is_prime, is_squarefree, prime_factors
@@ -48,7 +47,6 @@ class GaussSumQuery:
             raise ValueError(f"gcd({self.a}, {self.modulus}) != 1")
 
 
-@lru_cache(maxsize=None)
 def _theta_residue_counts(dim: int, modulus: int) -> tuple:
     """Exact counts of theta(x) mod `modulus` over x in (Z/modulus)^dim.
 

@@ -17,8 +17,6 @@ kolitsch summary tables read the same check functions.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -158,19 +156,10 @@ class VerificationReport:
         return json.dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "cphi", "mainSum", "b"])
-        for n in range(self.n_max + 1):
-            writer.writerow(
-                [
-                    n,
-                    rational_str(self.cphi_coeffs[n]),
-                    rational_str(self.main_coeffs[n]),
-                    rational_str(self.b_coeffs[n]),
-                ]
-            )
-        return out.getvalue()
+        rows = zip(self.cphi_coeffs, self.main_coeffs, self.b_coeffs)
+        lines = ["n,cphi,mainSum,b"]
+        lines += [f"{n}," + ",".join(map(rational_str, row)) for n, row in enumerate(rows)]
+        return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         lines = [f"verification report: N={self.level}, nMax={self.n_max}"]

@@ -305,9 +305,7 @@ def test_eisenstein_coefficient_factors_each_n_once(monkeypatch):
 
 
 def test_context_validation():
-    ctx = context(35)
-    assert ctx.divisors == (1, 5, 7, 35)
-    assert ctx.prime_factors == (5, 7)
+    assert context(35) == ((1, 5, 7, 35), (5, 7))
     with pytest.raises(ValueError):
         context(15)
     with pytest.raises(ValueError):

@@ -247,8 +247,14 @@ README_EXAMPLES = [
     ("table --which cusp-constants --N 35", 0, "75fba4b735004f324c925ea437b47a412f8119d67f437286d1410f834cec7c4f"),
 ]
 
+# README shows no CSV report; these pin the bytes of `verify --format csv`
+VERIFY_CSV = [
+    ("verify --N 13 --nmax 60 --format csv", 0, "be33b2ffe919bd4700e1fa15b28b0d4a748e007a749e1497a26c0de5b30e3f99"),
+    ("verify --N 35 --nmax 68 --format csv", 0, "732833854af5406512613bc7024e9b0b02d167b2b8e0a178644cc5889ba34b61"),
+]
 
-@pytest.mark.parametrize("line,exit_code,digest", README_EXAMPLES)
+
+@pytest.mark.parametrize("line,exit_code,digest", README_EXAMPLES + VERIFY_CSV)
 def test_readme_examples_byte_identical(capsys, line, exit_code, digest):
     code, out, _ = run_cli(capsys, *shlex.split(line))
     assert code == exit_code
@@ -363,15 +369,17 @@ def test_level_beyond_trial_division_exits_2(capsys):
     assert len(err.splitlines()) == 1
 
 
+def run_python(*argv):
+    """A fresh interpreter importing cphi from src/, with QSERIES_THREADS unset."""
+    env = {k: v for k, v in os.environ.items() if k != "QSERIES_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("level,nmax,exit_code", [("5", "20", 0), ("35", "20", 1), ("15", "10", 2)])
 def test_exit_codes_through_a_real_process(level, nmax, exit_code):
     # entry() hands main's return value to sys.exit; only a process shows it
-    env = {k: v for k, v in os.environ.items() if k != "QSERIES_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cphi.cli", "verify", "--N", level, "--nmax", nmax],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_python("-m", "cphi.cli", "verify", "--N", level, "--nmax", nmax)
     assert proc.returncode == exit_code
     if exit_code == 2:
         assert proc.stdout == ""
@@ -379,6 +387,16 @@ def test_exit_codes_through_a_real_process(level, nmax, exit_code):
     else:
         assert proc.stdout.endswith("  overall: PASS\n" if exit_code == 0 else "  overall: FAIL\n")
         assert proc.stderr == ""
+
+
+def test_imports_load_only_what_they_use():
+    # the package holds only __version__; verify needs neither the Gauss-sum,
+    # Eisenstein nor CLI layer
+    proc = run_python("-c", "import sys, cphi\n"
+                      "print(sorted(m for m in sys.modules if m.startswith('cphi.')))\n"
+                      "import cphi.verify\n"
+                      "print(sorted({'cphi.gauss_sums', 'cphi.eisenstein', 'cphi.cli'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
 
 
 @pytest.mark.parametrize("line", ["gauss --dim 4 --a 1 --c 5", "gauss --dim 10 --a 1 --c 3", "bernoulli --k 2 --N 5"])

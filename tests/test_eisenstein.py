@@ -5,7 +5,7 @@ import pytest
 
 import cphi.eisenstein
 from cphi.arith import divisors
-from cphi.characters import bernoulli_chi, kronecker
+from cphi.characters import bernoulli_chi, eisenstein_sign, kronecker
 from cphi.eisenstein import (
     eisenstein_coefficient,
     eisenstein_coefficient_factored,
@@ -21,10 +21,10 @@ from oracles import u_operator
 
 
 def test_profile_shape():
-    profile = eisenstein_profile(35)
-    assert profile.weight_index == 17
-    assert profile.bernoulli != 0
-    assert tuple(t.d for t in profile.terms) == (1, 5, 7, 35)
+    prefactor, signs = eisenstein_profile(35)
+    assert prefactor == Fraction(-34) / bernoulli_chi(17, 35)
+    assert tuple(signs) == (1, 5, 7, 35)
+    assert all(sign == eisenstein_sign(d, 35) for d, sign in signs.items())
     with pytest.raises(ValueError):
         eisenstein_profile(1)
 
