@@ -33,7 +33,7 @@ from .gauss_sums import (
     gauss_sum_prime_closed,
 )
 from .qseries import QSeries
-from .radicals import QuarterRadical, rational_str
+from .radicals import QuarterRadical
 from .theta import cphi_series, theta_cusp_constant, theta_series
 from .verify import (
     asymptotic_ratios,
@@ -107,8 +107,8 @@ def _cmd_expand(args) -> int:
     series = SERIES[args.series](args)
     coeffs = series.coefficients()
     _emit(args.format, series.to_json_dict,
-          (f"q^{n}: {rational_str(c)}" for n, c in enumerate(coeffs)),
-          chain(["n,coefficient"], (f"{n},{rational_str(c)}" for n, c in enumerate(coeffs))))
+          (f"q^{n}: {c}" for n, c in enumerate(coeffs)),
+          chain(["n,coefficient"], (f"{n},{c}" for n, c in enumerate(coeffs))))
     return EXIT_OK
 
 
@@ -167,7 +167,7 @@ def _cmd_bernoulli(args) -> int:
         raise ValueError(f"N={args.N}: must be odd and positive")
     if not is_squarefree(args.N):
         raise ValueError(f"N={args.N}: must be squarefree")
-    value = rational_str(bernoulli_chi(args.k, args.N))
+    value = str(bernoulli_chi(args.k, args.N))
     _emit(args.format, lambda: {"k": args.k, "N": args.N, "value": value}, [value])
     return EXIT_OK
 

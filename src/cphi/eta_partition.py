@@ -94,12 +94,9 @@ def partition_numbers(n_max: int) -> list:
 
 def partition_count(x) -> int:
     """P(x) with P = 0 at negative or non-integral arguments."""
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            return 0
-        x = int(x)
-    if x < 0:
+    if x.denominator != 1 or x < 0:
         return 0
+    x = x.numerator
     if x >= len(_partition_table):
         # double the length (P(0..m) has m + 1 entries): O(log x) extensions
         partition_numbers(max(x, 2 * len(_partition_table) - 1))

@@ -228,10 +228,7 @@ class QSeries:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        coeffs = [
-            [str(Fraction(c).numerator), str(Fraction(c).denominator)]
-            for c in self.coeffs
-        ]
+        coeffs = [[str(c.numerator), str(c.denominator)] for c in self.coeffs]
         return {"valuation": self.valuation, "trunc": self.trunc, "coeffs": coeffs}
 
 

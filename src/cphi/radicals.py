@@ -136,10 +136,3 @@ class QuarterRadical:
         body = "*".join(p for p in parts if p != "-")
         return ("-" + body) if parts and parts[0] == "-" else body
 
-
-def rational_str(x) -> str:
-    """Lossless decimal-string form: plain integer, or 'num/den'."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"

@@ -13,6 +13,9 @@ The checks are one ordered table, CHECKS, of small generator functions of
 (level, nMax, ratio tolerance), each yielding its results, none when it does
 not apply; each one can fail.  run_verification runs the table; the b1 and
 kolitsch summary tables read the same check functions.
+
+A report holds the coefficients and the check results; it builds the ratio
+table cphi_N(n) / main(n) only when it prints JSON.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from functools import lru_cache
 from .arith import prime_factors, validate_level
 from .eta_partition import main_term, partition_numbers
 from .qseries import QSeries, times_eta_power
-from .radicals import rational_str
 from .theta import cphi_series
 
 KOLITSCH_LEVELS = (5, 7, 11)
@@ -98,19 +100,11 @@ def asymptotic_ratios(level: int, n_max: int):
 
 
 def decimal_str(value: Fraction, digits: int = 12) -> str:
-    """Exact rational rendered to a fixed number of decimal digits."""
-    f = Fraction(value)
-    sign = "-" if f < 0 else ""
-    f = abs(f)
-    whole = f.numerator // f.denominator
-    scaled = (f - whole) * 10**digits
-    frac = scaled.numerator // scaled.denominator
-    if 2 * (scaled - frac) >= 1:
-        frac += 1
-    if frac == 10**digits:
-        whole += 1
-        frac = 0
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    """Exact rational rendered to a fixed number of decimal digits, halves rounded up."""
+    scaled, rem = divmod(abs(value.numerator) * 10**digits, value.denominator)
+    scaled += 2 * rem >= value.denominator
+    whole, frac = divmod(scaled, 10**digits)
+    return f"{'-' if value < 0 else ''}{whole}.{str(frac).zfill(digits)}"
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,6 @@ class VerificationReport:
     n_max: int
     b_coeffs: list
     checks: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)  # (n, Fraction)
     cphi_coeffs: list = field(default_factory=list)
     main_coeffs: list = field(default_factory=list)
 
@@ -141,6 +134,7 @@ class VerificationReport:
         return matches[0]
 
     def to_json_dict(self) -> dict:
+        ratios, _ = asymptotic_ratios(self.level, self.n_max)
         return {
             "N": self.level,
             "nMax": self.n_max,
@@ -148,8 +142,8 @@ class VerificationReport:
                 {"name": c.name, "pass": c.passed, "detail": c.detail}
                 for c in self.checks
             ],
-            "b": [rational_str(c) for c in self.b_coeffs],
-            "ratios": [[n, decimal_str(r)] for n, r in self.ratios],
+            "b": [str(c) for c in self.b_coeffs],
+            "ratios": [[n, decimal_str(r)] for n, r in ratios],
         }
 
     def to_json(self) -> str:
@@ -158,7 +152,7 @@ class VerificationReport:
     def to_csv(self) -> str:
         rows = zip(self.cphi_coeffs, self.main_coeffs, self.b_coeffs)
         lines = ["n,cphi,mainSum,b"]
-        lines += [f"{n}," + ",".join(map(rational_str, row)) for n, row in enumerate(rows)]
+        lines += [f"{n}," + ",".join(map(str, row)) for n, row in enumerate(rows)]
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -299,12 +293,10 @@ def run_verification(
         raise ValueError("verification needs nMax >= 1")
     if not 0 < ratio_tolerance < float("inf"):
         raise ValueError(f"ratio tolerance must be positive and finite, got {ratio_tolerance}")
-    ratios, _ = asymptotic_ratios(level, n_max)
     report = VerificationReport(
         level=level,
         n_max=n_max,
         b_coeffs=correction_series(level, n_max).coefficients(),
-        ratios=ratios,
         cphi_coeffs=cphi_series(level, n_max).coefficients(),
         main_coeffs=main_term_series(level, n_max).coefficients(),
     )
@@ -325,7 +317,7 @@ def b1_table():
     for level in sorted(B1_TABLE):
         (check,) = _b1_value(level, 2, None)
         got = correction_series(level, 2).coefficient(1)
-        rows.append({"N": level, "b1": rational_str(got), "expected": B1_TABLE[level],
+        rows.append({"N": level, "b1": str(got), "expected": B1_TABLE[level],
                      "match": check.passed})
         if not check.passed:
             errors.append(f"N={level}: {check.detail}")

@@ -74,6 +74,22 @@ def u_operator(series: QSeries, m: int) -> QSeries:
     return QSeries(0, [series.coefficient(n * m) for n in range(t + 1)], t)
 
 
+def decimal_str_fraction(value: Fraction, digits: int = 12) -> str:
+    """verify.decimal_str by Fraction arithmetic: round the fractional part half up."""
+    f = Fraction(value)
+    sign = "-" if f < 0 else ""
+    f = abs(f)
+    whole = f.numerator // f.denominator
+    scaled = (f - whole) * 10**digits
+    frac = scaled.numerator // scaled.denominator
+    if 2 * (scaled - frac) >= 1:
+        frac += 1
+    if frac == 10**digits:
+        whole += 1
+        frac = 0
+    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+
+
 def convolve_schoolbook(a: list, b: list, out_len: int) -> list:
     """Schoolbook product of coefficient lists, truncated to out_len entries."""
     out = [0] * out_len

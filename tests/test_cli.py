@@ -253,8 +253,20 @@ VERIFY_CSV = [
     ("verify --N 35 --nmax 68 --format csv", 0, "732833854af5406512613bc7024e9b0b02d167b2b8e0a178644cc5889ba34b61"),
 ]
 
+# the exact-value printers no other digest reaches: JSON ratios that skip zero
+# main terms (N=35), non-integral [num, den] coefficient pairs, a valuation of
+# 10, and a bernoulli value that is an integral Fraction (-1) and one that is not
+EXACT_VALUES = [
+    ("verify --N 35 --nmax 68 --format json", 0, "71c1dc259e22550b774e6c4380d912f48963e3615a7741de67d64027883230ad"),
+    ("verify --N 35 --nmax 200 --format json", 0, "768d8f909e90b2dd70a0c9c50de99d4fc677e07b319eece044b60f362c422be7"),
+    ("expand --series eisenstein-theta --N 13 --nmax 20 --format json", 0, "00ec09ad83f34a101d296f9af64ef8c526ed435ad0445a9c90000c9d74aa8ec9"),
+    ("expand --series eta --N 35 --d 5 --nmax 40 --format json", 0, "a48cab9d083e261ae56764d37682b777535f0098746db9d642db9d67fe8cccf8"),
+    ("bernoulli --k 1 --N 7", 0, "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28"),
+    ("bernoulli --k 1 --N 3", 0, "826dba0111f40680f3a76d942186657237e9a2da9f94ced0aa528323a382d9ed"),
+]
 
-@pytest.mark.parametrize("line,exit_code,digest", README_EXAMPLES + VERIFY_CSV)
+
+@pytest.mark.parametrize("line,exit_code,digest", README_EXAMPLES + VERIFY_CSV + EXACT_VALUES)
 def test_readme_examples_byte_identical(capsys, line, exit_code, digest):
     code, out, _ = run_cli(capsys, *shlex.split(line))
     assert code == exit_code

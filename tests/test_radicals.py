@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cphi.radicals import QuarterRadical, rational_str
+from cphi.radicals import QuarterRadical
 from oracles import approx_complex
 
 
@@ -91,9 +91,3 @@ def test_rejects_nonpositive_radicand():
         QuarterRadical(1, 0, 0)
     with pytest.raises(ValueError):
         QuarterRadical(1, 0, -3)
-
-
-def test_rational_str():
-    assert rational_str(Fraction(4, 2)) == "2"
-    assert rational_str(Fraction(-4, 5)) == "-4/5"
-    assert rational_str(7) == "7"

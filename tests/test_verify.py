@@ -31,6 +31,7 @@ from cphi.verify import (
 )
 from oracles import (
     correction_series_by_division,
+    decimal_str_fraction,
     eta_power_miller,
     monomial,
     residual_by_partition_side,
@@ -153,6 +154,24 @@ def test_decimal_rendering():
     assert decimal_str(Fraction(2, 3), digits=3) == "0.667"
 
 
+def test_decimal_str_matches_fraction_oracle():
+    grid = [(Fraction(num, den), digits) for num in range(-60, 61) for den in range(1, 61)
+            for digits in range(16)]
+    edges = [
+        Fraction(1, 2 * 10**12), Fraction(-1, 2 * 10**12), Fraction(3, 2 * 10**12),
+        Fraction(5, 2), Fraction(-7, 2),  # halves at digits = 0
+        1 - Fraction(1, 10**13), -1 + Fraction(1, 10**13), 9 - Fraction(4, 10**13),
+        Fraction(10**13 - 5, 10**13),  # a half just below the carry at 12 digits
+        Fraction(-(10**13 - 4), 10**13), Fraction(0), Fraction(-3), 7,
+    ]
+    grid += [(value, digits) for value in edges for digits in (0, 1, 11, 12, 13)]
+    for level, n_max in ((5, 1600), (13, 600), (35, 200)):
+        ratios, _ = asymptotic_ratios(level, n_max)
+        grid += [(r, 12) for _, r in ratios]
+    for value, digits in grid:
+        assert decimal_str(value, digits) == decimal_str_fraction(value, digits), (value, digits)
+
+
 def test_report_structure_and_json_round_trip():
     report = run_verification(5, 60)
     assert report.all_passed
@@ -176,6 +195,18 @@ def test_report_csv():
     assert len(lines) == 12
     assert lines[1] == "0,1,1,0"
     assert lines[2] == "1,25,25,0"
+
+
+def test_only_json_reports_build_the_ratio_table(monkeypatch):
+    def unused(level, n_max):
+        raise AssertionError("ratio table built for a report that does not print it")
+
+    monkeypatch.setattr(cphi.verify, "asymptotic_ratios", unused)
+    report = run_verification(13, 60)
+    assert report.to_text().startswith("verification report: N=13, nMax=60")
+    assert report.to_csv().startswith("n,cphi,mainSum,b\n")
+    with pytest.raises(AssertionError, match="ratio table built"):
+        report.to_json()
 
 
 def test_report_levels_13_expectations():
