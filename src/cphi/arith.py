@@ -7,22 +7,8 @@ from math import gcd
 # All radicands and moduli in this project are desk scale (divisors of
 # levels up to ~1000 and their products), so trial division is plenty; a
 # cofactor with no factor up to the limit is refused, not called prime.
+# factorize is the only trial-division loop: every other helper reads it.
 TRIAL_DIVISION_LIMIT = 10**6
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -60,18 +46,17 @@ def prime_factors(n: int) -> list[int]:
 
 
 def divisors(n: int) -> list[int]:
-    """Sorted list of positive divisors of n >= 1."""
+    """Sorted list of positive divisors of n >= 1, expanded from its factorization."""
     if n < 1:
         raise ValueError(f"divisors of {n} undefined")
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and factorize(n) == [(n, 1)]
 
 
 def is_squarefree(n: int) -> bool:

@@ -16,7 +16,7 @@ import sys
 from itertools import chain
 from math import gcd
 
-from .arith import divisors, is_prime, is_squarefree, validate_level
+from .arith import is_prime, is_squarefree, validate_level
 from .eisenstein import theta_eisenstein_series
 from .eta_partition import (
     eta_cusp_constant,
@@ -24,7 +24,7 @@ from .eta_partition import (
     multi_partition_series,
     scaled_partition_term,
 )
-from .characters import bernoulli_chi
+from .characters import bernoulli_chi, context
 from .gauss_sums import (
     PHASE_GUARD,
     gauss_sum_by_reduction,
@@ -199,9 +199,8 @@ def _cmd_ratios(args) -> int:
 
 def _cusp_constants(args):
     level = _required(args.N, "table cusp-constants requires --N")
-    validate_level(level)
     return [{"d": d, "theta": str(theta_cusp_constant(level, d)),
-             "eta": str(eta_cusp_constant(level, d, d))} for d in divisors(level)], []
+             "eta": str(eta_cusp_constant(level, d, d))} for d in context(level)[0]], []
 
 
 # `table --which` name -> (rows, errors) from the parsed arguments

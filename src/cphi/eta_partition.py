@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import check_divides, divisors, validate_level
-from .characters import kronecker
+from .arith import check_divides, validate_level
+from .characters import context, kronecker
 from .qseries import QSeries, eta_pass, eta_power, pentagonal_terms, times_eta_power
 from .radicals import QuarterRadical
 
@@ -112,7 +112,7 @@ def scaled_partition_term(level: int, d: int, n: int) -> int:
 
 def main_term(level: int, n: int) -> int:
     """The partition side of the main identity: sum over d | N of scaled terms."""
-    return sum(scaled_partition_term(level, d, n) for d in divisors(level))
+    return sum(scaled_partition_term(level, d, n) for d in context(level)[0])
 
 
 def multi_partition_series(r: int, n_max: int) -> QSeries:

@@ -50,25 +50,23 @@ class GaussSumQuery:
 def _theta_residue_counts(dim: int, modulus: int) -> tuple:
     """Exact counts of theta(x) mod `modulus` over x in (Z/modulus)^dim.
 
-    Tracks (s, ss) = (sum, sum of squares) mod 2*modulus; s^2 + ss is always
-    even, so theta mod modulus is determined.
+    Appending a coordinate u gives theta(x, u) = theta(x) + u^2 + u*sum(x), so
+    the state (sum(x), theta(x)) mod modulus steps on its own, through at
+    most modulus^2 states; the last coordinate adds straight into the counts.
     """
-    m2 = 2 * modulus
     table = {(0, 0): 1}
-    values = [(v % m2, (v * v) % m2) for v in range(modulus)]
-    for _ in range(dim):
+    for _ in range(dim - 1):
         nxt: dict = {}
-        for (s, ss), cnt in table.items():
-            for dv, dss in values:
-                key = ((s + dv) % m2, (ss + dss) % m2)
-                if key in nxt:
-                    nxt[key] += cnt
-                else:
-                    nxt[key] = cnt
+        for (s, t), cnt in table.items():
+            for u in range(modulus):
+                key = ((s + u) % modulus, (t + u * (u + s)) % modulus)
+                nxt[key] = nxt.get(key, 0) + cnt
         table = nxt
     counts = [0] * modulus
-    for (s, ss), cnt in table.items():
-        counts[((s * s + ss) % m2) // 2] += cnt
+    for (s, t), cnt in table.items():
+        # at dim 0 there is no coordinate to add: u = 0 leaves theta as it is
+        for u in range(modulus if dim else 1):
+            counts[(t + u * (u + s)) % modulus] += cnt
     return tuple(counts)
 
 

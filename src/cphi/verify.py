@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import prime_factors, validate_level
+from .arith import validate_level
+from .characters import context
 from .eta_partition import main_term, partition_numbers
 from .qseries import QSeries, times_eta_power
 from .theta import cphi_series
@@ -40,9 +41,8 @@ CWY13_SCALE = 26
 
 def sturm_bound(level: int) -> int:
     """ceil(k * [SL2(Z):Gamma_0(N)] / 12) with k = (N-1)/2, N squarefree."""
-    validate_level(level)
     index = 1
-    for p in prime_factors(level):
+    for p in context(level)[1]:
         index *= p + 1
     k = (level - 1) // 2
     return -(-k * index // 12)
@@ -248,12 +248,12 @@ def _nonvanishing_scan(level, n_max, tol):
 
 def _asymptotic(level, n_max, tol):
     # where b = 0 (residual-vanishes) r = 1 exactly, and with no nonzero main
-    # term at nMax and nMax/4 there is no trend
+    # term at nMax and nMax/4, or with nMax/4 = nMax (nMax = 1), there is no trend
     if level in ZERO_RESIDUAL_LEVELS:
         return
     cphi, main = cphi_series(level, n_max), main_term_series(level, n_max)
     quarter = -(-n_max // 4)
-    if not (main.coefficient(n_max) and main.coefficient(quarter)):
+    if quarter == n_max or not (main.coefficient(n_max) and main.coefficient(quarter)):
         return
     devN, devQ = (
         abs(Fraction(cphi.coefficient(n), main.coefficient(n)) - 1) for n in (n_max, quarter)

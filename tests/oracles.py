@@ -453,6 +453,31 @@ def correction_series_by_division(level: int, n_max: int) -> QSeries:
     return (residual_by_partition_side(level, n_max) * eta_power_miller(-level, n_max)).crop(n_max)
 
 
+def theta_residue_counts_mod_2c(dim: int, modulus: int) -> tuple:
+    """Exact counts of theta(x) mod `modulus` over x in (Z/modulus)^dim.
+
+    Tracks (s, ss) = (sum, sum of squares) mod 2*modulus; s^2 + ss is always
+    even, so theta mod modulus is determined.
+    """
+    m2 = 2 * modulus
+    table = {(0, 0): 1}
+    values = [(v % m2, (v * v) % m2) for v in range(modulus)]
+    for _ in range(dim):
+        nxt: dict = {}
+        for (s, ss), cnt in table.items():
+            for dv, dss in values:
+                key = ((s + dv) % m2, (ss + dss) % m2)
+                if key in nxt:
+                    nxt[key] += cnt
+                else:
+                    nxt[key] = cnt
+        table = nxt
+    counts = [0] * modulus
+    for (s, ss), cnt in table.items():
+        counts[((s * s + ss) % m2) // 2] += cnt
+    return tuple(counts)
+
+
 def gauss_naive(dim: int, a: int, c: int) -> complex:
     """Literal term-by-term Gauss sum over (Z/c)^dim; keep c**dim small."""
     total = 0j

@@ -1,6 +1,15 @@
 import pytest
 
-from cphi.arith import TRIAL_DIVISION_LIMIT, factorize, validate_level
+from cphi.arith import (
+    TRIAL_DIVISION_LIMIT,
+    divisors,
+    factorize,
+    is_prime,
+    is_squarefree,
+    prime_factors,
+    squarefree_split,
+    validate_level,
+)
 from cphi.characters import sigma_twisted, unit_a
 from cphi.eta_partition import (
     EtaQuotientSpec,
@@ -26,17 +35,36 @@ def factorize_brute(n):
 
 
 def test_factorize_matches_brute_force():
-    for n in range(1, 10**4 + 1):
+    # and every helper derived from factorize, against divisor lists and
+    # primes from sieves, which divide nothing by trial
+    top = 10**4
+    divs = [[] for _ in range(top + 1)]
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            divs[m].append(d)
+    prime = [len(ds) == 2 for ds in divs]
+    for n in range(1, top + 1):
         assert factorize(n) == factorize_brute(n), n
+        assert divisors(n) == divs[n], n
+        assert is_prime(n) == prime[n], n
+        assert prime_factors(n) == [p for p in divs[n] if prime[p]], n
+        square_divisors = [d for d in divs[n] if n % (d * d) == 0]
+        assert is_squarefree(n) == (square_divisors == [1]), n
+        assert squarefree_split(n) == (square_divisors[-1], n // square_divisors[-1] ** 2), n
 
 
 def test_factorize_refuses_cofactor_beyond_trial_division():
     # 1000003 is prime and above the limit, so its square has no factor the
     # trial division reaches; it must not come back as a prime
-    with pytest.raises(ValueError, match=str(TRIAL_DIVISION_LIMIT)):
+    with pytest.raises(ValueError, match=str(TRIAL_DIVISION_LIMIT)) as refused:
         factorize(1000003**2)
     with pytest.raises(ValueError, match=str(TRIAL_DIVISION_LIMIT)):
         validate_level(1000003**2)
+    # the helpers derived from factorize refuse with its message, not loop to sqrt(n)
+    for helper in (is_prime, divisors):
+        with pytest.raises(ValueError) as exc:
+            helper(1000003**2)
+        assert str(exc.value) == str(refused.value), helper
     assert factorize(5 * 1000003) == [(5, 1), (1000003, 1)]
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from math import gcd, sqrt
 
@@ -8,6 +9,7 @@ from cphi.characters import kronecker
 from cphi.gauss_sums import (
     PHASE_GUARD,
     GaussSumQuery,
+    _theta_residue_counts,
     coprime_split,
     galois_twist_holds,
     gauss_sum_by_reduction,
@@ -25,6 +27,7 @@ from oracles import (
     approx_complex,
     evaluate_numeric,
     gauss_naive,
+    theta_residue_counts_mod_2c,
     theta_value,
     twisted_gauss_naive,
 )
@@ -61,6 +64,28 @@ def test_counting_oracle_matches_naive_sum():
                 assert approx_equal(
                     gauss_sum_numeric(dim, a, c), gauss_naive(dim, a, c), 1e-9
                 ), (dim, a, c)
+
+
+def test_residue_counts_match_mod_2c_oracle():
+    # every (dim, c) with c <= 12 and c**dim <= 2*10**4, dim 0 and c = 1 included
+    cases = [(dim, c) for c in range(1, 13) for dim in range(15) if c**dim <= 2 * 10**4]
+    assert (0, 1) in cases and (1, 12) in cases and (14, 2) in cases
+    for dim, c in cases:
+        counts = _theta_residue_counts(dim, c)
+        assert counts == theta_residue_counts_mod_2c(dim, c), (dim, c)
+        assert sum(counts) == c**dim
+
+
+def test_residue_counts_memory():
+    # the state (sum, theta) mod c has at most c**2 values; at dim 2 only c of
+    # them are stored, the last coordinate adding straight into the c counts
+    tracemalloc.start()
+    try:
+        _theta_residue_counts(2, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20, peak
 
 
 def test_numeric_examples():

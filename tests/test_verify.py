@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import cphi.arith
 import cphi.characters
 import cphi.eta_partition
 import cphi.qseries
 import cphi.theta
 import cphi.verify
 from cphi.arith import divisors, is_squarefree
-from cphi.characters import bernoulli_chi
+from cphi.characters import bernoulli_chi, context
 from cphi.eta_partition import (
     eta_quotient_series,
     main_term,
@@ -123,10 +124,12 @@ def test_asymptotic_ratios_skip_zero_main():
     assert all(m >= 1 for m, _ in ratios)
 
 
-@pytest.mark.parametrize("level,n_max", [(1, 60), (5, 200), (7, 60), (11, 60), (35, 1), (35, 3)])
+@pytest.mark.parametrize("level,n_max", [(1, 60), (5, 200), (7, 60), (11, 60), (35, 1), (35, 3),
+                                         (13, 1), (17, 1), (23, 1)])
 def test_asymptotic_trend_not_reported_where_it_cannot_fail(level, n_max):
     # b = 0 fixes r = 1 at N = 1, 5, 7, 11; at 35@1 and 35@3 the main term
-    # vanishes at nMax/4, so there is no trend to compare
+    # vanishes at nMax/4, so there is no trend to compare; at nMax = 1 the
+    # quarter point is nMax itself, and r(1) would be compared with itself
     report = run_verification(level, n_max)
     names = [c.name for c in report.checks]
     assert "asymptotic-trend" not in names
@@ -264,6 +267,21 @@ def clear_series_caches():
     for cached in (theta_series, cphi_series, main_term_series, residual_series,
                    correction_series, eta13_series):
         cached.cache_clear()
+
+
+def test_main_term_reads_level_divisors_once(monkeypatch):
+    # the divisors of N come from the cached context(N), never once per n
+    context(35)
+    calls = []
+
+    def counting_divisors(n):
+        calls.append(n)
+        return divisors(n)
+
+    for module in (cphi.arith, cphi.characters, cphi.eta_partition, cphi.verify):
+        monkeypatch.setattr(module, "divisors", counting_divisors, raising=False)
+    main_term_series.__wrapped__(35, 200)
+    assert calls == []
 
 
 def test_verify_computes_eta_power_minus_n_once(monkeypatch):
