@@ -3,8 +3,8 @@
 chi_a is the real character chi_a(b) = kronecker((-1)^((a-1)/2) * a, b),
 primitive mod a for odd squarefree a.  This module also provides the
 epsilon_c units, the fourth-root normalizer A(d, N) and sign C(d, N) of the
-Eisenstein decomposition, classical character Gauss sums W(chi_d),
-generalized Bernoulli numbers and twisted divisor sums.
+Eisenstein decomposition, generalized Bernoulli numbers and twisted divisor
+sums.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .arith import check_divides, divisors, is_squarefree, prime_factors, validate_level
+from .arith import check_divides, divisors, prime_factors, validate_level
 from .radicals import QuarterRadical
 
 
@@ -87,15 +87,6 @@ def eisenstein_sign(d: int, level: int) -> int:
     if value != alt:
         raise ArithmeticError(f"sign formulas disagree at d={d}, N={level}")
     return int(value)
-
-
-def gauss_w(d: int) -> QuarterRadical:
-    """Classical Gauss sum of chi_d: epsilon_d * sqrt(d), d odd squarefree."""
-    if d < 1 or d % 2 == 0:
-        raise ValueError(f"gauss_w needs odd positive d, got {d}")
-    if not is_squarefree(d):
-        raise ValueError(f"gauss_w needs squarefree d, got {d}")
-    return epsilon_c(d) * QuarterRadical.sqrt_of(d)
 
 
 BERNOULLI_INDEX_BOUND = 64

@@ -199,8 +199,12 @@ def _cmd_ratios(args) -> int:
 
 def _cusp_constants(args):
     level = _required(args.N, "table cusp-constants requires --N")
+    level_divisors = context(level)[0]
+    # every printed integer of (d/N)^((N-1)/2) * sqrt(d/N) then has under 4001 digits
+    if (level + 1) // 2 * len(str(level)) > 4000:
+        raise ValueError(f"table cusp-constants needs ((N+1)//2)*digits(N) <= 4000, got N={level}")
     return [{"d": d, "theta": str(theta_cusp_constant(level, d)),
-             "eta": str(eta_cusp_constant(level, d, d))} for d in context(level)[0]], []
+             "eta": str(eta_cusp_constant(level, d, d))} for d in level_divisors], []
 
 
 # `table --which` name -> (rows, errors) from the parsed arguments

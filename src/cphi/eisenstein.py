@@ -1,4 +1,4 @@
-"""Eisenstein-part expansions of the theta, eta-quotient and partition series.
+"""The Eisenstein part of the theta series.
 
 For a valid level N with k = (N-1)/2, the Eisenstein component attached to a
 divisor d carries the coefficient C(d,N) (N/d)^((N-3)/2) (1-N)/B_{k,chi_N}
@@ -19,7 +19,6 @@ from .characters import (
     context,
     eisenstein_sign,
     kronecker,
-    sigma_twisted,
     twisted_divisor_sums,
 )
 from .qseries import QSeries
@@ -87,25 +86,3 @@ def theta_eisenstein_series(level: int, n_max: int) -> QSeries:
     coeffs = [Fraction(1)]
     coeffs += [eisenstein_coefficient(level, n) for n in range(1, n_max + 1)]
     return QSeries(0, coeffs, n_max)
-
-
-def _divisor_series(level: int, d: int, n_max: int, eta: bool) -> QSeries:
-    """[d = N] + sum_n scale * sigma_{(N-3)/2}(chi_{N/d}, chi_d; n) q^n for divisor d."""
-    prefactor, signs = eisenstein_profile(level)
-    m = level // d
-    # (1-N)/B * C(d,N) times (N/d|d) d/N for the eta quotient, (N/d)^((N-3)/2) otherwise
-    weight = kronecker(m, d) * Fraction(d, level) if eta else m ** ((level - 3) // 2)
-    scale = prefactor * signs[d] * weight
-    coeffs = [Fraction(1 if d == level else 0)]
-    coeffs += [scale * sigma_twisted((level - 3) // 2, level, d, n) for n in range(1, n_max + 1)]
-    return QSeries(0, coeffs, n_max)
-
-
-def eta_eisenstein_series(level: int, d: int, n_max: int) -> QSeries:
-    """Eisenstein part of the eta quotient for divisor d."""
-    return _divisor_series(level, d, n_max, eta=True)
-
-
-def partition_eisenstein_series(level: int, d: int, n_max: int) -> QSeries:
-    """Eisenstein series equal (mod cusp forms) to (N/d)(q;q)^N sum P(...) q^n."""
-    return _divisor_series(level, d, n_max, eta=False)

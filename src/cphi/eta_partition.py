@@ -1,4 +1,4 @@
-"""Eta-quotient expansions, cusp data, and partition-number machinery.
+"""Eta-quotient expansions, eta cusp constants, and partition-number machinery.
 
 The eta quotient studied here is eta(z (N/d))^N / eta(dz) for d | N, whose
 q-expansion is q^((N^2-d^2)/(24d)) (q^(N/d); q^(N/d))^N / (q^d; q^d).
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .arith import check_divides, validate_level
 from .characters import context, kronecker
@@ -50,16 +49,6 @@ def eta_quotient_series(level: int, d: int, n_max: int) -> QSeries:
         return QSeries.zero(n_max)
     numerator = times_eta_power(QSeries.one(n_max - prefix), level, level // d)
     return times_eta_power(numerator, -1, d).shift(prefix)
-
-
-def cusp_vanishing_order(level: int, d: int, c: int) -> Fraction:
-    """Order of vanishing of the eta quotient at the cusp 1/c, c | N."""
-    validate_level(level)
-    check_divides(d, level)
-    check_divides(c, level, "c")
-    return Fraction(level, 24 * c) * Fraction(
-        d * d * gcd(level // d, c) ** 2 - gcd(d, c) ** 2, d
-    )
 
 
 def eta_cusp_constant(level: int, d: int, c: int) -> QuarterRadical:

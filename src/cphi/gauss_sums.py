@@ -15,19 +15,12 @@ import cmath
 from dataclasses import dataclass
 from math import gcd, pi
 
-from .arith import check_divides, is_prime, is_squarefree, prime_factors
+from .arith import check_divides, is_prime, is_squarefree
 from .radicals import QuarterRadical
 from .characters import epsilon_c, kronecker
 
 # guard on the conceptual term count c**dim of the defining sum
 PHASE_GUARD = 10**7
-
-
-def theta_form(x) -> int:
-    """theta(x) for an integer tuple, via 2*theta = (sum x)^2 + sum x^2."""
-    s = sum(x)
-    ss = sum(v * v for v in x)
-    return (s * s + ss) // 2
 
 
 @dataclass(frozen=True)
@@ -90,42 +83,11 @@ def gauss_sum_numeric(dim: int, a: int, modulus: int) -> complex:
     return total
 
 
-def coprime_split(dim: int, gamma: int, alpha: int, beta: int):
-    """Factor queries per G_N(gamma, alpha*beta) = G_N(beta*gamma, alpha) * G_N(alpha*gamma, beta)."""
-    for x, y in ((alpha, beta), (alpha, gamma), (beta, gamma)):
-        if gcd(x, y) != 1:
-            raise ValueError(f"arguments must be pairwise coprime, gcd({x},{y})>1")
-    return (
-        GaussSumQuery(dim, beta * gamma, alpha),
-        GaussSumQuery(dim, alpha * gamma, beta),
-    )
-
-
 def twist_map(p: int, r: int) -> int:
     """One step of the twist recursion: R -> 1/(4(1-R)) mod p, R != 1."""
     if (r - 1) % p == 0:
         raise ValueError("twist map undefined at R = 1")
     return pow(4 * (1 - r), -1, p)
-
-
-def twist_orbit(p: int, t: int) -> int:
-    """t-fold iterate of the twist map at 0 mod p, 0 <= t <= p - 2.
-
-    Lands on t/(2t+2) mod p and reaches 1 exactly at t = p - 2; hitting 1
-    earlier would mean the recursion is broken, so that raises.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p={p} must be an odd prime")
-    if t < 0 or t > p - 2:
-        raise ValueError(f"orbit index {t} outside 0..{p - 2}")
-    r = 0
-    for step in range(t):
-        if r % p == 1 % p:
-            raise ArithmeticError(
-                f"twist orbit hit 1 mod {p} after {step} steps, before {p - 2}"
-            )
-        r = twist_map(p, r)
-    return r % p
 
 
 @dataclass(frozen=True)
@@ -206,25 +168,3 @@ def gauss_sum_closed(level: int, a: int, d: int) -> QuarterRadical:
         ((level - level * d) // 2) % 4,
         d,
     )
-
-
-def reduction_unit(d: int, level: int) -> QuarterRadical:
-    """prod_{p|d} i^((N-Np)/2) (d/p|p) divided by i^((N-Nd)/2); always 1."""
-    check_divides(d, level)
-    acc = QuarterRadical.one()
-    for p in prime_factors(d):
-        acc = acc * QuarterRadical(
-            kronecker(d // p, p), ((level - level * p) // 2) % 4, 1
-        )
-    return acc * QuarterRadical.i_power(((level - level * d) // 2) % 4).inverse()
-
-
-def galois_twist_holds(level: int, a: int, d: int, tol: float = 1e-6) -> bool:
-    """Numerically check G_{N-1}(a, d) = (a|d) G_{N-1}(1, d)."""
-    if gcd(a, d) != 1:
-        raise ValueError(f"gcd({a}, {d}) != 1")
-    dim = level - 1
-    lhs = gauss_sum_numeric(dim, a, d)
-    rhs = kronecker(a, d) * gauss_sum_numeric(dim, 1, d)
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= tol * scale

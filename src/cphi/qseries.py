@@ -252,13 +252,6 @@ def euler_coefficients(trunc: int) -> tuple:
     return tuple(c)
 
 
-def euler_product(trunc: int) -> QSeries:
-    """(q;q)_infinity as a QSeries exact through q**trunc."""
-    if trunc < 0:
-        raise ValueError("negative truncation")
-    return QSeries(0, list(euler_coefficients(trunc)), trunc)
-
-
 def pentagonal_terms(trunc: int) -> tuple[list, list]:
     """The j in 1..trunc where (q;q)_infinity has coefficient +1, and where it has -1."""
     a = euler_coefficients(trunc)

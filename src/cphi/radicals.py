@@ -83,17 +83,6 @@ class QuarterRadical:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return QuarterRadical(-self.coeff, self.i_exp, self.radicand)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = QuarterRadical.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def inverse(self) -> "QuarterRadical":
         """Multiplicative inverse: 1/(c i^m sqrt(r)) = i^(-m) sqrt(r)/(c r)."""
         if self.coeff == 0:
@@ -101,9 +90,6 @@ class QuarterRadical:
         return QuarterRadical(
             Fraction(1, 1) / (self.coeff * self.radicand), -self.i_exp, self.radicand
         )
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
 
     def as_fraction(self) -> Fraction:
         """The value as a rational; raises if it is irrational or imaginary."""

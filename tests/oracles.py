@@ -16,7 +16,7 @@ from cphi.arith import validate_level
 from cphi.characters import chi
 from cphi.eta_partition import EtaQuotientSpec, partition_count
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
-from cphi.qseries import QSeries, eta_pass, euler_product, pentagonal_terms
+from cphi.qseries import QSeries, eta_pass, euler_coefficients, pentagonal_terms
 from cphi.radicals import QuarterRadical
 from cphi.theta import theta_series
 from cphi.verify import main_term_series
@@ -135,6 +135,13 @@ def euler_coefficients_product(trunc: int) -> list:
         for k in range(trunc, n - 1, -1):
             c[k] -= c[k - n]
     return c
+
+
+def euler_product(trunc: int) -> QSeries:
+    """(q;q)_infinity as a QSeries exact through q**trunc."""
+    if trunc < 0:
+        raise ValueError("negative truncation")
+    return QSeries(0, list(euler_coefficients(trunc)), trunc)
 
 
 def eta_power_miller(k: int, trunc: int) -> QSeries:

@@ -12,23 +12,10 @@ from cphi.characters import epsilon_c, kronecker
 from cphi.eisenstein import (
     eisenstein_coefficient,
     eisenstein_coefficient_factored,
-    eta_eisenstein_series,
-    partition_eisenstein_series,
     theta_eisenstein_series,
 )
-from cphi.eta_partition import (
-    cusp_vanishing_order,
-    eta_quotient_series,
-    multi_partition_series,
-)
-from cphi.gauss_sums import (
-    coprime_split,
-    gauss_sum_by_reduction,
-    gauss_sum_closed,
-    gauss_sum_numeric,
-    reduction_unit,
-    twist_orbit,
-)
+from cphi.eta_partition import eta_quotient_series, multi_partition_series
+from cphi.gauss_sums import gauss_sum_by_reduction, gauss_sum_closed, gauss_sum_numeric
 from cphi.qseries import QSeries
 from cphi.radicals import QuarterRadical
 from cphi.theta import cphi_series, theta_cusp_constant
@@ -37,6 +24,14 @@ from cphi.verify import (
     correction_series,
     eta13_series,
     residual_series,
+)
+from lemmas import (
+    coprime_split,
+    cusp_vanishing_order,
+    eta_eisenstein_series,
+    partition_eisenstein_series,
+    reduction_unit,
+    twist_orbit,
 )
 from oracles import evaluate_numeric, multi_partition_sigma_route, u_operator
 

