@@ -409,6 +409,35 @@ def theta_series_half_dp(level: int, n_max: int) -> QSeries:
     return QSeries(0, coeffs, n_max)
 
 
+def miller_lane_lists(level: int, n_max: int) -> tuple[list, int]:
+    """g = f^N in Z[Z/N][q] by Miller's recurrence on lists, f = sum_m X^m q^(m^2).
+
+    Returns g_s as N counts per s <= 2n, lane r counting y in Z^N with
+    sum y = r mod N and |y|^2 = s, and the largest lane of the two
+    accumulators before they are folded: lanes 0..2N-2, X^m and X^-m placed
+    at m mod N and -m mod N above r, as `theta.coset_counts_miller` packs them.
+    """
+    g = [[1] + [0] * (level - 1)]
+    top = 0
+    for s in range(1, 2 * n_max + 1):
+        pos, neg = [0] * (2 * level), [0] * (2 * level)
+        for m in range(1, isqrt(s) + 1):
+            c = (level + 1) * m * m - s
+            acc = pos if c > 0 else neg
+            for r, x in enumerate(g[s - m * m]):
+                acc[r + m % level] += abs(c) * x
+                acc[r + -m % level] += abs(c) * x
+        top = max(top, *pos, *neg)
+        lanes = []
+        for r in range(level):
+            q, rem = divmod(pos[r] + pos[r + level] - neg[r] - neg[r + level], s)
+            if rem or q < 0:
+                raise ArithmeticError(f"step {s} lane {r} is not a count")
+            lanes.append(q)
+        g.append(lanes)
+    return g, top
+
+
 def _frobenius_half(level: int, n_max: int, first: int) -> dict:
     """prod_{m >= first} (1 + w q^m)^N as {k: coefficients of w^k at q^0..q^n_max}."""
     half = {0: [1] + [0] * n_max}

@@ -9,9 +9,18 @@ from cphi.arith import divisors, is_squarefree
 from cphi.eta_partition import partition_count
 from cphi.gauss_sums import gauss_sum_closed
 from cphi.radicals import QuarterRadical
-from cphi.theta import cphi_series, lane_bits, theta_cusp_constant, theta_series
+from cphi.theta import (
+    MILLER_LEVEL,
+    coset_counts_dp,
+    coset_counts_miller,
+    cphi_series,
+    lane_bits,
+    theta_cusp_constant,
+    theta_series,
+)
 from oracles import (
     cphi_constant_term,
+    miller_lane_lists,
     theta_counts_dfs,
     theta_series_half_dp,
     theta_series_lane_dp,
@@ -53,18 +62,43 @@ def test_theta_matches_lane_dp(level, n_max):
 LEVELS = [n for n in range(1, 36) if gcd(n, 6) == 1 and is_squarefree(n)]
 
 
+def coset_lanes(theta: list, level: int) -> list:
+    """sum_m theta(j - 2N m^2) over m in Z: the counts both routes give."""
+    step = 2 * level
+    return [sum(theta[j - step * m * m] for m in range(-isqrt(j // step), isqrt(j // step) + 1))
+            for j in range(len(theta))]
+
+
 @pytest.mark.parametrize("level", LEVELS + [55, 65, 77])
 def test_theta_matches_both_oracles_where_the_coset_terms_enter(level):
     # the lanes hold theta * sum_m q^(2N m^2): m = 1 enters at n = 2N, m = 2 at
     # 8N.  The oracles run once at 8N+1; their coefficients do not depend on
-    # the truncation, while theta_series' lane width and entry range do.
+    # the truncation, while theta_series' lane width and entry range do.  Both
+    # routes run at every level, whichever one theta_series takes there.
     top = 8 * level + 1
     half = theta_series_half_dp(level, top).coefficients()
     assert theta_series_mod_n(level, top).coefficients() == half
     if level < 55:  # the full-length lane DP needs minutes at the composite levels
         assert theta_series_lane_dp(level, top).coefficients() == half
+    lanes = coset_lanes(half, level)
     for n in (0, 1, 2 * level - 1, 2 * level, 2 * level + 1, 8 * level, top):
         assert theta_series(level, n).coefficients() == half[: n + 1], (level, n)
+        assert coset_counts_dp(level, n) == lanes[: n + 1], (level, n)
+        assert coset_counts_miller(level, n) == lanes[: n + 1], (level, n)
+
+
+def test_route_is_chosen_by_level_alone(monkeypatch):
+    # a route that raises shows which one theta_series called
+    def refuse(level, n_max):
+        raise LookupError(level)
+
+    for level in (13, MILLER_LEVEL):
+        taken = "coset_counts_miller" if level >= MILLER_LEVEL else "coset_counts_dp"
+        monkeypatch.setattr(cphi.theta, taken, refuse)
+        with pytest.raises(LookupError):
+            theta_series.__wrapped__(level, 30)
+        monkeypatch.undo()
+    assert MILLER_LEVEL == 17
 
 
 @lru_cache(maxsize=None)
@@ -93,18 +127,32 @@ def test_lane_bits_never_wider_than_the_entry_box(level):
 
 @pytest.mark.parametrize("level,n_max", [(5, 120), (13, 60), (35, 40)])
 def test_theta_fails_one_byte_below_the_largest_lane(monkeypatch, level, n_max):
-    # the join's lane j counts y with sum y = 0 mod 2N and |y|^2 = 2j, that is
-    # sum_m theta(j - 2N m^2) over m in Z; one byte below its largest value, a
-    # lane overflows and the coefficients go wrong
-    theta = theta_series_mod_n(level, n_max).coefficients()
-    lanes = [sum(theta[j - 2 * level * m * m] for m in range(-isqrt(j // (2 * level)),
-                                                          isqrt(j // (2 * level)) + 1))
-             for j in range(n_max + 1)]
+    # the DP's join, lane j, counts y with sum y = 0 mod 2N and |y|^2 = 2j, that
+    # is sum_m theta(j - 2N m^2) over m in Z; one byte below its largest value,
+    # a lane overflows and the counts go wrong
+    lanes = coset_lanes(theta_series_mod_n(level, n_max).coefficients(), level)
     narrow = -(-max(lanes).bit_length() // 8) * 8 - 8
     assert narrow < lane_bits(level, n_max)
-    assert theta_series.__wrapped__(level, n_max).coefficients() == theta
+    assert coset_counts_dp(level, n_max) == lanes
     monkeypatch.setattr(cphi.theta, "lane_bits", lambda level, n_max: narrow)
-    assert theta_series.__wrapped__(level, n_max).coefficients() != theta
+    assert coset_counts_dp(level, n_max) != lanes
+
+
+@pytest.mark.parametrize("level,n_max", [(17, 60), (35, 40), (77, 30)])
+def test_miller_fails_one_byte_below_the_largest_accumulator_lane(monkeypatch, level, n_max):
+    # Miller's accumulators hold (N+1)m^2 - s times g, unfolded over lanes
+    # 0..2N-2; one byte below their largest lane, a carry crosses the fold
+    # and the counts go wrong
+    g, top = miller_lane_lists(level, n_max)
+    lanes = [g[2 * j][0] for j in range(n_max + 1)]
+    assert lanes == coset_lanes(theta_series_mod_n(level, n_max).coefficients(), level)
+    narrow = -(-top.bit_length() // 8) * 8 - 8
+    assert narrow < cphi.theta.accumulator_bits(level, n_max)
+    assert coset_counts_miller(level, n_max) == lanes
+    monkeypatch.setattr(cphi.theta, "accumulator_bits", lambda level, n_max: narrow)
+    assert coset_counts_miller(level, n_max) != lanes
+    monkeypatch.setattr(cphi.theta, "accumulator_bits", lambda level, n_max: narrow + 8)
+    assert coset_counts_miller(level, n_max) == lanes
 
 
 @pytest.mark.parametrize("level,n_max", [(5, 1600), (13, 600), (35, 200)])

@@ -365,6 +365,15 @@ def test_sturm_coverage_fail_wording():
     )
 
 
+@pytest.mark.parametrize("level,bound", [(55, 162), (65, 224), (77, 304)])
+def test_composite_level_passes_at_its_sturm_bound(level, bound):
+    # the paper's new case: squarefree composite N, run as far as its Sturm bound
+    assert sturm_bound(level) == bound
+    report = run_verification(level, bound)
+    assert report.check("sturm-coverage").passed
+    assert report.all_passed, [c.name for c in report.checks if not c.passed]
+
+
 def valid_levels(upto):
     return [n for n in range(1, upto + 1) if n % 2 and n % 3 and is_squarefree(n)]
 
