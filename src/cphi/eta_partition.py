@@ -8,29 +8,26 @@ non-integral x, which is what makes terms like P(n/5) meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import check_divides, validate_level
 from .characters import context, kronecker
-from .qseries import QSeries, eta_pass, eta_power, pentagonal_terms, times_eta_power
+from .qseries import QSeries, eta_power, pentagonal_stage, pentagonal_terms, times_eta_power
 from .radicals import QuarterRadical
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "level d")):
     """Parameters (N, d) with d | N; the q-power prefix must be integral."""
 
-    level: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_level(self.level)
-        check_divides(self.d, self.level)
-        if (self.level**2 - self.d**2) % (24 * self.d):
-            raise ValueError(
-                f"(N^2-d^2)/(24d) is not an integer for N={self.level}, d={self.d}"
-            )
+    def __new__(cls, level: int, d: int):
+        validate_level(level)
+        check_divides(d, level)
+        if (level**2 - d**2) % (24 * d):
+            raise ValueError(f"(N^2-d^2)/(24d) is not an integer for N={level}, d={d}")
+        return super().__new__(cls, level, d)
 
     @property
     def prefix_exponent(self) -> int:
@@ -68,17 +65,17 @@ _partition_table = [1]
 
 
 def partition_numbers(n_max: int) -> list:
-    """P(0..n_max) by Euler's recurrence, the quotient eta_pass for 1/(q;q).
+    """P(0..n_max) by Euler's recurrence, the pentagonal quotient stage for 1/(q;q).
 
-    The table only grows, by continuing the pass from its first missing entry.
+    The table only grows, by continuing the stage from its first missing
+    entry; the stage only appends finished entries, so an interrupted
+    extension leaves a correct, shorter table.
     """
-    start = len(_partition_table)
-    if n_max >= start:
-        # extended on a copy, so an interrupted pass leaves the table as it was
-        table = _partition_table + [0] * (n_max + 1 - start)
-        eta_pass(table, *pentagonal_terms(n_max), -1, start)
-        _partition_table[:] = table
-    return _partition_table[: n_max + 1]
+    stop = n_max + 1
+    if stop > len(_partition_table):
+        # the source is 1 = 1 + 0 q + ..., and the stage reads it from q**1 on
+        pentagonal_stage([0] * stop, _partition_table, stop, pentagonal_terms(n_max), True)
+    return _partition_table[:stop]
 
 
 def partition_count(x) -> int:

@@ -12,8 +12,9 @@ R in the map R -> 1/(4(1-R)) mod p.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, pi
+from typing import NamedTuple
 
 from .arith import check_divides, is_prime, is_squarefree
 from .radicals import QuarterRadical
@@ -23,21 +24,19 @@ from .characters import epsilon_c, kronecker
 PHASE_GUARD = 10**7
 
 
-@dataclass(frozen=True)
-class GaussSumQuery:
+class GaussSumQuery(namedtuple("GaussSumQuery", "dim a modulus")):
     """A sum G_dim(a, modulus); gcd(a, modulus) must be 1."""
 
-    dim: int
-    a: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __new__(cls, dim: int, a: int, modulus: int):
+        if dim < 0:
             raise ValueError("negative dimension")
-        if self.modulus < 1:
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if gcd(self.a, self.modulus) != 1:
-            raise ValueError(f"gcd({self.a}, {self.modulus}) != 1")
+        if gcd(a, modulus) != 1:
+            raise ValueError(f"gcd({a}, {modulus}) != 1")
+        return super().__new__(cls, dim, a, modulus)
 
 
 def _theta_residue_counts(dim: int, modulus: int) -> tuple:
@@ -90,8 +89,7 @@ def twist_map(p: int, r: int) -> int:
     return pow(4 * (1 - r), -1, p)
 
 
-@dataclass(frozen=True)
-class ReduceStep:
+class ReduceStep(NamedTuple):
     """Outcome of eliminating coordinates from a twisted Gauss sum."""
 
     case: str  # "terminal", "drop-two" or "drop-one"

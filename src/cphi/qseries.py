@@ -10,12 +10,16 @@ Every eta factor (q^d;q^d)_infinity**k is applied by one primitive,
 times_eta_power(series, k, d), without a product.  (q^d;q^d) is a series in
 q**d, so it maps the coefficients at exponents = r mod d only to exponents = r
 mod d: each residue class is a series in its own right, and the factor acts
-on it as (q;q)**k does.  That is |k| // 3 passes of Jacobi's cube
-(q;q)**3 = sum_m (-1)**m (2m+1) q**(m(m+1)/2), about sqrt(2n) weighted terms,
-and |k| mod 3 add-only passes over the about 1.63 sqrt(n) pentagonal terms of
-(q;q), so three factors cost about a third of three pentagonal passes.  The
-partition table stays on the add-only pentagonal pass: it divides by (q;q)
-once per extension, and one weighted kernel for both made it slower.
+on it as (q;q)**k does.  That is an EtaChain of |k| // 3 stages of Jacobi's
+cube (q;q)**3 = sum_m (-1)**m (2m+1) q**(m(m+1)/2), about sqrt(2n) weighted
+terms, and |k| mod 3 add-only stages over the about 1.63 sqrt(n) pentagonal
+terms of (q;q), so three factors cost about a third of three pentagonal
+stages.  A stage walks up and only appends: a product is out[n] = in[n] +
+sum a_j in[n-j], a quotient out[n] = in[n] - sum a_j out[n-j], each over the
+exact prefix of terms with j <= n.  So a chain continues to a longer prefix
+from its first missing coefficient; held() keeps such chains, and the
+other series of a level, at the longest prefix computed so far.  The
+partition table is one pentagonal quotient stage, continued in place.
 The product of two series is the plain truncated double loop; pow and the
 tests use it.
 """
@@ -23,6 +27,7 @@ tests use it.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 
 def _as_exact(x):
@@ -232,7 +237,7 @@ class QSeries:
         return {"valuation": self.valuation, "trunc": self.trunc, "coeffs": coeffs}
 
 
-# -- the Euler product and its powers ---------------------------------------
+# -- the Euler product, its powers, and the series store ----------------------
 
 
 def euler_coefficients(trunc: int) -> tuple:
@@ -242,41 +247,26 @@ def euler_coefficients(trunc: int) -> tuple:
     the generalized pentagonal numbers j = m(3m -+ 1)/2 and 0 elsewhere.
     """
     c = [0] * (trunc + 1)
-    c[0] = 1
-    m = 1
-    while m * (3 * m - 1) // 2 <= trunc:
-        for j in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
-            if j <= trunc:
-                c[j] = -1 if m & 1 else 1
-        m += 1
+    for j, a in pentagonal_terms(trunc):
+        c[j] = a
+    if c:
+        c[0] = 1
     return tuple(c)
 
 
-def pentagonal_terms(trunc: int) -> tuple[list, list]:
-    """The j in 1..trunc where (q;q)_infinity has coefficient +1, and where it has -1."""
-    a = euler_coefficients(trunc)
-    return tuple([j for j in range(1, len(a)) if a[j] == sign] for sign in (1, -1))
+def pentagonal_terms(trunc: int) -> list:
+    """The (j, a_j) with 1 <= j <= trunc and a_j != 0 in (q;q)_infinity = 1 + sum a_j q**j, by j.
 
-
-def eta_pass(part: list, plus: list, minus: list, k: int, start: int = 1) -> None:
-    """One pass multiplying the list part in place by (q;q)_infinity (k > 0) or dividing by it.
-
-    plus, minus = pentagonal_terms(m) for some m >= len(part) - 1.  A product
-    walks n down, c_n += sum_j a_j c_{n-j} with c_{n-j} not yet updated; a
-    quotient walks n up from start, c_n -= the same sum, taking the entries
-    below start as already divided, so a quotient can be continued in place.
+    a_j = (-1)**m at the generalized pentagonal numbers j = m(3m -+ 1)/2.
     """
-    for n in range(len(part) - 1, 0, -1) if k > 0 else range(start, len(part)):
-        acc = 0
-        for j in plus:
-            if j > n:
-                break
-            acc += part[n - j]
-        for j in minus:
-            if j > n:
-                break
-            acc -= part[n - j]
-        part[n] += acc if k > 0 else -acc
+    terms, m = [], 1
+    while m * (3 * m - 1) // 2 <= trunc:
+        a = -1 if m & 1 else 1
+        terms.append((m * (3 * m - 1) // 2, a))
+        if m * (3 * m + 1) // 2 <= trunc:
+            terms.append((m * (3 * m + 1) // 2, a))
+        m += 1
+    return terms
 
 
 def cube_terms(trunc: int) -> list:
@@ -292,19 +282,95 @@ def cube_terms(trunc: int) -> list:
     return terms
 
 
-def cube_pass(part: list, terms: list, k: int) -> None:
-    """One pass multiplying the list part in place by (q;q)_infinity**3 (k > 0) or dividing by it.
+def _exact_prefixes(terms: list, start: int, stop: int):
+    """(lo, hi, active) over start..stop-1, where active holds exactly the terms with j <= n
+    for every lo <= n < hi; terms are sorted by j and hold every j < stop."""
+    i = 0
+    while i < len(terms) and terms[i][0] <= start:
+        i += 1
+    lo = start
+    while lo < stop:
+        hi = min(terms[i][0], stop) if i < len(terms) else stop
+        yield lo, hi, terms[:i]
+        lo, i = hi, i + 1
 
-    terms = cube_terms(m) for some m >= len(part) - 1; the walk is eta_pass's,
+
+def _gather(offsets: list):
+    """seq -> the tuple of seq's entries at offsets (itemgetter gives a bare entry for one)."""
+    if len(offsets) == 1:
+        (k,) = offsets
+        return lambda seq: (seq[k],)
+    return itemgetter(*offsets) if offsets else lambda seq: ()
+
+
+def pentagonal_stage(src, out: list, stop: int, terms: list, quotient: bool) -> None:
+    """Append out[len(out):stop] of src * (q;q)_infinity, or of src / (q;q)_infinity.
+
+    terms = pentagonal_terms(m), m >= stop - 1.  A product is out[n] = src[n] +
+    sum a_j src[n - j], a quotient out[n] = src[n] - sum a_j out[n - j]; both
+    only append, so a stage continues from its first missing entry.  Every
+    a_j is +-1, so the sums are adds: the quotient gathers out[n - j] at
+    fixed negative offsets, as len(out) = n while out[n] is computed.
+    """
+    for lo, hi, active in _exact_prefixes(terms, len(out), stop):
+        plus = [j for j, a in active if a > 0]
+        minus = [j for j, a in active if a < 0]
+        if quotient:
+            add, subtract = _gather([-j for j in minus]), _gather([-j for j in plus])
+            for n in range(lo, hi):
+                out.append(src[n] + sum(add(out)) - sum(subtract(out)))
+        else:
+            for n in range(lo, hi):
+                out.append(src[n] + sum([src[n - j] for j in plus]) - sum([src[n - j] for j in minus]))
+
+
+def cube_stage(src, out: list, stop: int, terms: list, quotient: bool) -> None:
+    """Append out[len(out):stop] of src * (q;q)_infinity**3, or of src / (q;q)_infinity**3.
+
+    terms = cube_terms(m), m >= stop - 1; the walk is pentagonal_stage's,
     with each term weighted by its a_j.
     """
-    for n in range(len(part) - 1, 0, -1) if k > 0 else range(1, len(part)):
-        acc = 0
-        for j, a in terms:
-            if j > n:
-                break
-            acc += a * part[n - j]
-        part[n] += acc if k > 0 else -acc
+    for lo, hi, active in _exact_prefixes(terms, len(out), stop):
+        if quotient:
+            active = [(-j, -a) for j, a in active]
+            for n in range(lo, hi):
+                acc = src[n]
+                for j, a in active:
+                    acc += a * out[j]
+                out.append(acc)
+        else:
+            for n in range(lo, hi):
+                acc = src[n]
+                for j, a in active:
+                    acc += a * src[n - j]
+                out.append(acc)
+
+
+class EtaChain:
+    """A coefficient list times (q;q)_infinity**k, kept stage by stage so that it extends.
+
+    |k| // 3 cube stages, each (q;q)**3 by Jacobi's identity, then |k| mod 3
+    pentagonal stages; each stage reads the one before it (the first reads
+    the source) and only appends, so a longer source continues every stage
+    from its first missing entry.
+    """
+
+    __slots__ = ("k", "stages")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.stages = [[] for _ in range(abs(k) // 3 + abs(k) % 3)]
+
+    def extend(self, src) -> list:
+        """The last stage, holding at least len(src) coefficients of src * (q;q)**k (src if k = 0)."""
+        stop, cubes = len(src), abs(self.k) // 3
+        terms = (cube_terms(stop - 1), pentagonal_terms(stop - 1))
+        for i, out in enumerate(self.stages):
+            if len(out) < stop:
+                stage = cube_stage if i < cubes else pentagonal_stage
+                stage(src, out, stop, terms[i >= cubes], self.k < 0)
+            src = out
+        return src
 
 
 def times_eta_power(series: QSeries, k: int, d: int = 1) -> QSeries:
@@ -312,29 +378,41 @@ def times_eta_power(series: QSeries, k: int, d: int = 1) -> QSeries:
 
     (q^d;q^d) = 1 + sum a_j q**(d j) acts on each residue class c[r::d] of the
     coefficients on its own, as (q;q) does on a series; a class with no
-    nonzero coefficient stays zero and is skipped.  Each nonzero class gets
-    |k| // 3 cube_pass calls, each one (q;q)**3 by Jacobi's identity, and
-    |k| mod 3 add-only eta_pass calls over the pentagonal terms.  The term
-    lists are built once per call and shared by the classes.
+    nonzero coefficient stays zero and is skipped.  Each nonzero class runs
+    through one EtaChain: |k| // 3 cube stages and |k| mod 3 add-only
+    pentagonal stages.
     """
     if d < 1:
         raise ValueError(f"(q^d;q^d) needs d >= 1, got d={d}")
     c = list(series.coeffs)
-    length = max((len(c) - 1) // d, 0)
-    cubes, rest = divmod(abs(k), 3)
-    terms, (plus, minus) = cube_terms(length), pentagonal_terms(length)
     for r in range(min(d, len(c))):
         part = c[r::d]
-        if not any(part):
-            continue
-        for _ in range(cubes):
-            cube_pass(part, terms, k)
-        for _ in range(rest):
-            eta_pass(part, plus, minus, k)
-        c[r::d] = part
+        if any(part):
+            c[r::d] = EtaChain(k).extend(part)
     return QSeries(series.valuation, c, series.trunc)
 
 
 def eta_power(k: int, trunc: int) -> QSeries:
     """(q;q)_infinity**k exact through q**trunc; for k = -1, Euler's partition recurrence."""
     return times_eta_power(QSeries.one(trunc), k)
+
+
+LEVELS_HELD = 8  # levels held, least recently used dropped first; the `session` benchmark reads 7
+
+_STORES: dict = {}
+
+
+def held(level: int, kind: str, make):
+    """The state of one series kind held for one level, made by make() on first use.
+
+    Each kind is held at the longest prefix computed so far: a shorter
+    request crops it, a longer one continues it.  At most LEVELS_HELD levels
+    are held; touching one makes it the most recent.
+    """
+    store = _STORES.pop(level, None)
+    _STORES[level] = store = {} if store is None else store
+    if len(_STORES) > LEVELS_HELD:
+        del _STORES[next(iter(_STORES))]
+    if kind not in store:
+        store[kind] = make()
+    return store[kind]

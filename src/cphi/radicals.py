@@ -10,14 +10,13 @@ are odd).  Keeping the radical one-dimensional avoids cyclotomic arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import squarefree_split
 
 
-@dataclass(frozen=True)
-class QuarterRadical:
+class QuarterRadical(namedtuple("QuarterRadical", "coeff i_exp radicand")):
     """Normalized value coeff * i**i_exp * sqrt(radicand).
 
     Normal form: i_exp in {0, 1} (i**2 folded into the sign of coeff),
@@ -26,13 +25,11 @@ class QuarterRadical:
     normal forms is exact value equality.
     """
 
-    coeff: Fraction
-    i_exp: int = 0
-    radicand: Fraction | int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = Fraction(self.coeff)
-        r = Fraction(self.radicand)
+    def __new__(cls, coeff, i_exp: int = 0, radicand=1):
+        c = Fraction(coeff)
+        r = Fraction(radicand)
         if r <= 0:
             raise ValueError(f"radicand must be positive, got {r}")
         m1, s1 = squarefree_split(r.numerator)
@@ -40,15 +37,13 @@ class QuarterRadical:
         # sqrt(s1/s2) = sqrt(s1*s2)/s2
         c *= Fraction(m1, m2 * s2)
         rad = s1 * s2
-        m = self.i_exp % 4
+        m = i_exp % 4
         if m >= 2:
             c = -c
             m -= 2
         if c == 0:
             m, rad = 0, 1
-        object.__setattr__(self, "coeff", c)
-        object.__setattr__(self, "i_exp", m)
-        object.__setattr__(self, "radicand", rad)
+        return super().__new__(cls, c, m, rad)
 
     # -- constructors ------------------------------------------------------
 

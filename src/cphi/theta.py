@@ -8,7 +8,10 @@ with x in A_{N-1} and |y|^2 = |x|^2 + N m^2; N is odd (coprime to 6), so the
 norm is even exactly when m is, and the counts at norm 2j are
 theta * sum_m q^(2N m^2).  The pass theta(j) -= 2 sum_{m>=1} theta(j - 2N m^2),
 walking j upwards, recovers theta.  Two routes give those counts; which one
-runs depends on N alone.
+runs depends on N alone.  Each level holds its theta at the longest prefix
+computed so far (qseries.held): a shorter request crops it, a longer one
+continues the pass from the first missing j, with the counts from Miller's
+held g_s continued in place, or from the DP recomputed.
 
 The DP (N < MILLER_LEVEL) runs over the entries of y and keeps only the
 partial sum mod 2N.  A residue t stands for t and -t, whose counts are equal,
@@ -40,7 +43,9 @@ no lane and // s is exact.  accumulator_bits gives the lane width: lane_bits
 plus the bits of 2n (N+2) (v+1), plus 1, in whole bytes; a carry out of
 unfolded lane N - 1 would cross the fold.  Cost: sum_{s <= 2n} isqrt(s),
 about (2/3) (2n)^1.5, terms of a multiply, two shifts and two adds on
-N-lane integers, nearly independent of N.
+N-lane integers, nearly independent of N.  Each g_s depends only on earlier
+terms, so MillerPowers keeps g and appends to it; when a longer prefix
+widens accumulator_bits, the held g_s are first rewritten at the new width.
 
 Seconds for the counts in one process, best of 5 (Intel Xeon, x86_64,
 CPython 3.11):
@@ -53,8 +58,11 @@ CPython 3.11):
     13@600   0.0214  0.0144  |  77@304   0.7306  0.0597
     17@200   0.0080  0.0032  |  95@470   2.7766  0.1702
 
-The DP wins at N = 5, the routes are within 1.5x of each other at 11 and
-13, and from 17 on Miller wins by 2.5x or more, a gap that grows like N.
+The DP wins at N = 5 (and at 11@600: 0.0165 against 0.0238 s, best of 7 in
+another run, while Miller won at 11@200), Miller wins at 13 by 1.4-1.5x, and
+from 17 on by 2.5x or more, a gap that grows like N.  So Miller's route
+starts at 13, where it also continues in place to a longer prefix; 11 stays
+on the DP.
 """
 
 from __future__ import annotations
@@ -64,10 +72,10 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .arith import check_divides, validate_level
-from .qseries import QSeries, times_eta_power
+from .qseries import LEVELS_HELD, EtaChain, QSeries, held
 from .radicals import QuarterRadical
 
-MILLER_LEVEL = 17  # theta_series takes Miller's route from this level up
+MILLER_LEVEL = 13  # theta_series takes Miller's route from this level up
 
 
 def lane_bits(level: int, n_max: int) -> int:
@@ -125,56 +133,89 @@ def coset_counts_dp(level: int, n_max: int) -> list[int]:
     return [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
 
 
-def coset_counts_miller(level: int, n_max: int) -> list[int]:
-    """#{y in Z^N : sum y = 0 mod N, |y|^2 = 2j} for j <= n, by Miller's recurrence."""
-    width = accumulator_bits(level, n_max)
-    span = level * width
-    mask = (1 << span) - 1
-    # X^m and X^-m, m taken mod N, as left shifts into lanes 0..2N-2
-    shifts = [((m % level) * width, (-m % level) * width) for m in range(isqrt(2 * n_max) + 1)]
-    g = [1]
-    for s in range(1, 2 * n_max + 1):
-        pos = neg = 0
-        for m in range(1, isqrt(s) + 1):
-            c = (level + 1) * m * m - s
-            h = c * g[s - m * m]
-            up, down = shifts[m]
-            if c > 0:
-                pos += (h << up) + (h << down)
-            else:
-                neg -= (h << up) + (h << down)
-        # fold lane r + N onto lane r; pos - neg = s g_s lane by lane
-        g.append(((pos & mask) + (pos >> span) - (neg & mask) - (neg >> span)) // s)
-    lane = (1 << width) - 1
-    return [g[2 * j] & lane for j in range(n_max + 1)]
+class MillerPowers:
+    """g = f^N by Miller's recurrence, g_s for s <= len(g) - 1, continued on request.
+
+    Each g_s depends only on earlier terms, so a longer prefix appends to g.
+    When accumulator_bits grows, the stored g_s are rewritten at the new
+    width first: every lane moves up to its new offset.
+    """
+
+    __slots__ = ("level", "width", "g")
+
+    def __init__(self, level: int):
+        # g_0 = 1 is lane 0 = 1 at any width
+        self.level, self.width, self.g = level, 8, [1]
+
+    def counts(self, n_max: int) -> list:
+        """#{y in Z^N : sum y = 0 mod N, |y|^2 = 2j} for j <= n."""
+        level, g = self.level, self.g
+        width = accumulator_bits(level, n_max)
+        if width > self.width:
+            old, new = self.width // 8, width // 8
+            pad = bytes(new - old)
+            for s, x in enumerate(g):
+                data = x.to_bytes(old * level, "little")
+                g[s] = int.from_bytes(b"".join(data[i : i + old] + pad
+                                                for i in range(0, len(data), old)), "little")
+            self.width = width
+        span = level * width
+        mask = (1 << span) - 1
+        # X^m and X^-m, m taken mod N, as left shifts into lanes 0..2N-2
+        shifts = [((m % level) * width, (-m % level) * width) for m in range(isqrt(2 * n_max) + 1)]
+        for s in range(len(g), 2 * n_max + 1):
+            pos = neg = 0
+            for m in range(1, isqrt(s) + 1):
+                c = (level + 1) * m * m - s
+                h = c * g[s - m * m]
+                up, down = shifts[m]
+                if c > 0:
+                    pos += (h << up) + (h << down)
+                else:
+                    neg -= (h << up) + (h << down)
+            # fold lane r + N onto lane r; pos - neg = s g_s lane by lane
+            g.append(((pos & mask) + (pos >> span) - (neg & mask) - (neg >> span)) // s)
+        lane = (1 << width) - 1
+        return [g[2 * j] & lane for j in range(n_max + 1)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVELS_HELD)
 def theta_series(level: int, n_max: int) -> QSeries:
     """Coefficient of q**n is #{x in Z^(N-1) : theta(x) = n}, exact."""
     validate_level(level)
     if n_max < 0:
         raise ValueError("negative truncation")
-    route = coset_counts_miller if level >= MILLER_LEVEL else coset_counts_dp
-    coeffs = route(level, n_max)
-    step = 2 * level
-    for j in range(step, n_max + 1):
-        coeffs[j] -= 2 * sum(coeffs[j - step * m * m] for m in range(1, isqrt(j // step) + 1))
-    return QSeries(0, coeffs, n_max)
+    theta = held(level, "theta", list)
+    if len(theta) <= n_max:
+        if level >= MILLER_LEVEL:
+            counts = held(level, "miller", lambda: MillerPowers(level)).counts(n_max)
+        else:
+            counts = coset_counts_dp(level, n_max)
+        # the coset pass walks up, so it continues where the held prefix ends
+        step = 2 * level
+        for j in range(len(theta), n_max + 1):
+            theta.append(counts[j] - 2 * sum(theta[j - step * m * m]
+                                             for m in range(1, isqrt(j // step) + 1)))
+    return QSeries(0, theta[: n_max + 1], n_max)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVELS_HELD)
 def cphi_series(level: int, n_max: int) -> QSeries:
     """Generating series of N-colored generalized Frobenius partition counts.
 
     cphi_N has generating function f_{theta_{N-1}} / (q;q)_infinity^N; the
-    coefficients must come out as nonnegative integers.
+    coefficients must come out as nonnegative integers.  The quotient is the
+    level's held EtaChain, continued from its first missing coefficient.
     """
-    series = times_eta_power(theta_series(level, n_max), -level)
-    for n, c in enumerate(series.coefficients()):
+    theta = theta_series(level, n_max).coeffs
+    chain = held(level, "cphi", lambda: EtaChain(-level))
+    known = len(chain.stages[-1])
+    cphi = chain.extend(theta)
+    for n in range(known, n_max + 1):
+        c = cphi[n]
         if not isinstance(c, int) or c < 0:
             raise ArithmeticError(f"cphi_{level}({n}) = {c} is not a nonnegative integer")
-    return series
+    return QSeries(0, cphi[: n_max + 1], n_max)
 
 
 def theta_cusp_constant(level: int, d: int) -> QuarterRadical:

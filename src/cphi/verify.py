@@ -21,14 +21,14 @@ table cphi_N(n) / main(n) only when it prints JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import validate_level
 from .characters import context
 from .eta_partition import main_term, partition_numbers
-from .qseries import QSeries, times_eta_power
+from .qseries import LEVELS_HELD, EtaChain, QSeries, euler_coefficients, held
 from .theta import cphi_series
 
 KOLITSCH_LEVELS = (5, 7, 11)
@@ -48,37 +48,47 @@ def sturm_bound(level: int) -> int:
     return -(-k * index // 12)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVELS_HELD)
 def main_term_series(level: int, n_max: int) -> QSeries:
-    """Partition side of the main identity as a series."""
+    """Partition side of the main identity as a series, continued by index."""
     validate_level(level)
-    # every partition argument below is under N * n_max (d = 1): size the
-    # table once instead of letting it double its way up
-    partition_numbers(level * n_max)
-    return QSeries(0, [main_term(level, n) for n in range(n_max + 1)], n_max)
+    main = held(level, "main", list)
+    if len(main) <= n_max:
+        # every partition argument below is under N * n_max (d = 1): size the
+        # table once instead of letting it double its way up
+        partition_numbers(level * n_max)
+        main.extend(main_term(level, n) for n in range(len(main), n_max + 1))
+    return QSeries(0, main[: n_max + 1], n_max)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVELS_HELD)
 def residual_series(level: int, n_max: int) -> QSeries:
     """C = (q;q)^N * sum b(n) q^n, exact through q**n_max.
 
     Since cphi = f_theta / (q;q)^N, this is f_theta - (q;q)^N * (partition side).
+    The product is the level's held EtaChain, continued from its first
+    missing coefficient.
     """
-    return times_eta_power(correction_series(level, n_max), level)
+    b = correction_series(level, n_max).coefficients()
+    residual = held(level, "residual", lambda: EtaChain(level)).extend(b)
+    return QSeries(0, residual[: n_max + 1], n_max)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVELS_HELD)
 def correction_series(level: int, n_max: int) -> QSeries:
     """b(n) series: cphi minus the partition side."""
     return cphi_series(level, n_max) - main_term_series(level, n_max)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVELS_HELD)
 def eta13_series(n_max: int) -> QSeries:
-    """q (q^13;q^13)_inf / (q;q)^2_inf through q**n_max."""
+    """q (q^13;q^13)_inf / (q;q)^2_inf through q**n_max, continued in level 13's store."""
     if n_max < 1:
         return QSeries.zero(n_max)
-    return times_eta_power(times_eta_power(QSeries.one(n_max - 1), 1, 13), -2).shift(1)
+    numerator = [0] * n_max
+    numerator[::13] = euler_coefficients((n_max - 1) // 13)
+    series = held(13, "eta13", lambda: EtaChain(-2)).extend(numerator)
+    return QSeries(1, series[:n_max], n_max)
 
 
 def asymptotic_ratios(level: int, n_max: int):
@@ -107,21 +117,19 @@ def decimal_str(value: Fraction, digits: int = 12) -> str:
     return f"{'-' if value < 0 else ''}{whole}.{str(frac).zfill(digits)}"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     level: int
     n_max: int
     b_coeffs: list
-    checks: list = field(default_factory=list)
-    cphi_coeffs: list = field(default_factory=list)
-    main_coeffs: list = field(default_factory=list)
+    checks: list
+    cphi_coeffs: list
+    main_coeffs: list
 
     @property
     def all_passed(self) -> bool:
@@ -299,6 +307,7 @@ def run_verification(
         b_coeffs=correction_series(level, n_max).coefficients(),
         cphi_coeffs=cphi_series(level, n_max).coefficients(),
         main_coeffs=main_term_series(level, n_max).coefficients(),
+        checks=[],
     )
     for check in CHECKS:
         report.checks.extend(check(level, n_max, ratio_tolerance))

@@ -16,7 +16,7 @@ from cphi.arith import validate_level
 from cphi.characters import chi
 from cphi.eta_partition import EtaQuotientSpec, partition_count
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
-from cphi.qseries import QSeries, eta_pass, euler_coefficients, pentagonal_terms
+from cphi.qseries import QSeries, euler_coefficients
 from cphi.radicals import QuarterRadical
 from cphi.theta import theta_series
 from cphi.verify import main_term_series
@@ -165,12 +165,51 @@ def eta_power_miller(k: int, trunc: int) -> QSeries:
     return QSeries(0, b, trunc)
 
 
+def pentagonal_lists(trunc: int) -> tuple[list, list]:
+    """The j in 1..trunc where (q;q)_infinity has coefficient +1, and where it has -1."""
+    a = euler_coefficients(trunc)
+    return tuple([j for j in range(1, len(a)) if a[j] == sign] for sign in (1, -1))
+
+
+def eta_pass(part: list, plus: list, minus: list, k: int, start: int = 1) -> None:
+    """One in-place pass multiplying part by (q;q)_infinity (k > 0) or dividing by it.
+
+    The library's kernel before the walk-up stages.  plus, minus =
+    pentagonal_lists(m) for some m >= len(part) - 1.  A product walks n down,
+    c_n += sum_j a_j c_{n-j} with c_{n-j} not yet updated; a quotient walks n
+    up from start, c_n -= the same sum, taking the entries below start as
+    already divided.
+    """
+    for n in range(len(part) - 1, 0, -1) if k > 0 else range(start, len(part)):
+        acc = 0
+        for j in plus:
+            if j > n:
+                break
+            acc += part[n - j]
+        for j in minus:
+            if j > n:
+                break
+            acc -= part[n - j]
+        part[n] += acc if k > 0 else -acc
+
+
+def cube_pass(part: list, terms: list, k: int) -> None:
+    """eta_pass's in-place walk for (q;q)_infinity**3, terms = cube_terms(m), m >= len(part) - 1."""
+    for n in range(len(part) - 1, 0, -1) if k > 0 else range(1, len(part)):
+        acc = 0
+        for j, a in terms:
+            if j > n:
+                break
+            acc += a * part[n - j]
+        part[n] += acc if k > 0 else -acc
+
+
 def times_eta_power_pentagonal(series: QSeries, k: int, d: int = 1) -> QSeries:
     """times_eta_power before the cube passes: |k| add-only pentagonal passes per class."""
     if d < 1:
         raise ValueError(f"(q^d;q^d) needs d >= 1, got d={d}")
     c = list(series.coeffs)
-    plus, minus = pentagonal_terms(max((len(c) - 1) // d, 0))
+    plus, minus = pentagonal_lists(max((len(c) - 1) // d, 0))
     for r in range(min(d, len(c))):
         part = c[r::d]
         if not any(part):

@@ -457,6 +457,13 @@ def test_imports_load_only_what_they_use():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # together they cost milliseconds and about a megabyte in every process
+    proc = run_python("-c", "import sys, cphi.cli\n"
+                      "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("line", ["gauss --dim 4 --a 1 --c 5", "gauss --dim 10 --a 1 --c 3", "bernoulli --k 2 --N 5"])
 def test_csv_without_a_table_prints_the_text(capsys, line):
     text = run_cli(capsys, *shlex.split(line))

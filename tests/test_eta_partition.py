@@ -149,6 +149,7 @@ def test_partition_against_enumeration():
 
 def test_partition_table_grows_to_explicit_request(monkeypatch):
     monkeypatch.setattr(eta_partition, "_partition_table", [1])
+    monkeypatch.setattr(cphi.qseries, "_STORES", {})  # no main term held yet
     # the verify chain at N=13: main_term_series sizes the table to 13 * nMax
     for n_max in (100, 200, 400, 600):
         main_term_series.__wrapped__(13, n_max)
@@ -156,16 +157,16 @@ def test_partition_table_grows_to_explicit_request(monkeypatch):
 
 
 def test_partition_lookups_rebuild_logarithmically(monkeypatch):
-    # each extension continues the quotient pass where the table ended, so
+    # each extension continues the quotient stage where the table ended, so
     # every P(n) is computed once, and increasing lookups extend O(log n) times
-    passes, eta_pass = [], eta_partition.eta_pass
+    passes, stage = [], eta_partition.pentagonal_stage
 
-    def recording_pass(part, plus, minus, k, start=1):
-        passes.append((start, len(part)))
-        eta_pass(part, plus, minus, k, start)
+    def recording_stage(src, out, stop, terms, quotient):
+        passes.append((len(out), stop))
+        stage(src, out, stop, terms, quotient)
 
     monkeypatch.setattr(eta_partition, "_partition_table", [1])
-    monkeypatch.setattr(eta_partition, "eta_pass", recording_pass)
+    monkeypatch.setattr(eta_partition, "pentagonal_stage", recording_stage)
     for n in range(1, 1601):
         assert partition_count(5 * n - 1) == eta_partition._partition_table[5 * n - 1]
     table = eta_partition._partition_table
@@ -180,15 +181,15 @@ def test_partition_lookups_rebuild_logarithmically(monkeypatch):
 
 
 def test_partition_table_extends_by_one_pentagonal_pass(monkeypatch):
-    # the table stays on the add-only pass: one eta_pass per extension, no cube pass
+    # the table stays on the add-only stage: one pentagonal stage per extension, no cube stage
     calls = []
     monkeypatch.setattr(eta_partition, "_partition_table", [1])
-    monkeypatch.setattr(eta_partition, "eta_pass",
-                        lambda *args: calls.append("eta_pass") or cphi.qseries.eta_pass(*args))
-    monkeypatch.setattr(cphi.qseries, "cube_pass", lambda *args: calls.append("cube_pass"))
+    monkeypatch.setattr(eta_partition, "pentagonal_stage", lambda *args: calls.append(
+        "pentagonal_stage") or cphi.qseries.pentagonal_stage(*args))
+    monkeypatch.setattr(cphi.qseries, "cube_stage", lambda *args: calls.append("cube_stage"))
     for n_max, extensions in ((100, 1), (60, 1), (100, 1), (450, 2), (2000, 3)):
         partition_numbers(n_max)
-        assert calls == ["eta_pass"] * extensions, n_max
+        assert calls == ["pentagonal_stage"] * extensions, n_max
     assert partition_numbers(2000) == list(eta_power_miller(-1, 2000).coeffs)
 
 

@@ -7,17 +7,26 @@ import pytest
 import cphi.qseries
 from cphi.arith import divisors
 from cphi.qseries import (
+    LEVELS_HELD,
+    EtaChain,
     QSeries,
     _convolve,
+    cube_stage,
     cube_terms,
     eta_power,
     euler_coefficients,
+    held,
+    pentagonal_stage,
+    pentagonal_terms,
     times_eta_power,
 )
 from cphi.theta import theta_series
 from cphi.verify import main_term_series
 from oracles import (
     convolve_schoolbook,
+    cube_pass,
+    eta_pass,
+    pentagonal_lists,
     eta_power_miller,
     euler_coefficients_product,
     euler_product,
@@ -261,12 +270,67 @@ def test_times_eta_power_matches_pentagonal_passes_random(kind):
         assert times_eta_power(s, k, d) == times_eta_power_pentagonal(s, k, d), (s, k, d)
 
 
+def test_pentagonal_terms_match_the_euler_product():
+    for n in range(300):
+        euler = euler_coefficients_product(n)
+        assert pentagonal_terms(n) == [(j, a) for j, a in enumerate(euler) if j and a], n
+        assert list(euler_coefficients(n)) == euler, n
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_stages_match_the_in_place_passes_from_any_start(kind):
+    # a stage continued from any start equals the old in-place pass over the whole list
+    rng = random.Random(f"stage-{kind}")
+    for _ in range(30):
+        part = random_coefficients(rng, rng.randint(1, 120), kind)
+        n = len(part)
+        pentagonal, cubes = pentagonal_terms(n - 1), cube_terms(n - 1)
+        for quotient in (False, True):
+            k = -1 if quotient else 1
+            want_pentagonal, want_cube = list(part), list(part)
+            eta_pass(want_pentagonal, *pentagonal_lists(n - 1), k)
+            cube_pass(want_cube, cubes, k)
+            for start in {0, 1, rng.randint(0, n), n}:
+                for stage, terms, want in ((pentagonal_stage, pentagonal, want_pentagonal),
+                                           (cube_stage, cubes, want_cube)):
+                    got = []
+                    stage(part, got, start, terms, quotient)
+                    assert got == want[:start], (stage.__name__, quotient, start)
+                    stage(part, got, n, terms, quotient)
+                    assert got == want, (stage.__name__, quotient, start)
+
+
+@pytest.mark.parametrize("k", [-14, -13, -3, -2, -1, 0, 1, 2, 4, 13])
+def test_eta_chain_extends_to_what_one_pass_gives(k):
+    rng = random.Random(f"chain-{k}")
+    src = random_coefficients(rng, 200, "mixed")
+    want = times_eta_power_pentagonal(QSeries(0, src, len(src) - 1), k).coefficients()
+    chain = EtaChain(k)
+    for stop in (0, 1, 40, 17, 120, 200, 90):
+        got = chain.extend(src[:stop])
+        assert len(got) >= stop and got[:stop] == want[:stop], stop
+
+
+def test_held_keeps_one_state_per_kind_for_the_most_recent_levels(monkeypatch):
+    # the session workload reads seven levels; the least recently used goes first
+    assert LEVELS_HELD >= 7
+    stores = {}
+    monkeypatch.setattr(cphi.qseries, "_STORES", stores)
+    levels = [1, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    for level in levels:
+        assert held(level, "kind", list) is held(level, "kind", dict)
+    assert list(stores) == levels[-LEVELS_HELD:]
+    held(levels[-LEVELS_HELD], "other", list)
+    assert list(stores) == levels[1 - LEVELS_HELD:] + levels[-LEVELS_HELD:][:1]
+    assert all(set(store) == {"kind"} for level, store in stores.items() if level != levels[-LEVELS_HELD])
+
+
 @pytest.mark.parametrize("d", [1, 5])
 @pytest.mark.parametrize("k", [-13, 13, -5, 4, -2, 1])
 def test_times_eta_power_pass_counts(monkeypatch, k, d):
-    # |k| // 3 cube passes and |k| mod 3 pentagonal passes per nonzero class
+    # |k| // 3 cube stages and |k| mod 3 pentagonal stages per nonzero class
     calls = []
-    for name in ("cube_pass", "eta_pass"):
+    for name in ("cube_stage", "pentagonal_stage"):
         original = getattr(cphi.qseries, name)
 
         def counting(*args, _name=name, _original=original):
@@ -278,8 +342,8 @@ def test_times_eta_power_pass_counts(monkeypatch, k, d):
     s = QSeries(0, [0 if n % 5 == 3 else n + 1 for n in range(41)], 40)
     nonzero_classes = 1 if d == 1 else 4
     got = times_eta_power(s, k, d)
-    assert calls.count("cube_pass") == abs(k) // 3 * nonzero_classes
-    assert calls.count("eta_pass") == abs(k) % 3 * nonzero_classes
+    assert calls.count("cube_stage") == abs(k) // 3 * nonzero_classes
+    assert calls.count("pentagonal_stage") == abs(k) % 3 * nonzero_classes
     assert got == times_eta_power_pentagonal(s, k, d)
 
 

@@ -4,6 +4,7 @@ from math import gcd, isqrt
 
 import pytest
 
+import cphi.qseries
 import cphi.theta
 from cphi.arith import divisors, is_squarefree
 from cphi.eta_partition import partition_count
@@ -11,8 +12,8 @@ from cphi.gauss_sums import gauss_sum_closed
 from cphi.radicals import QuarterRadical
 from cphi.theta import (
     MILLER_LEVEL,
+    MillerPowers,
     coset_counts_dp,
-    coset_counts_miller,
     cphi_series,
     lane_bits,
     theta_cusp_constant,
@@ -62,6 +63,11 @@ def test_theta_matches_lane_dp(level, n_max):
 LEVELS = [n for n in range(1, 36) if gcd(n, 6) == 1 and is_squarefree(n)]
 
 
+def coset_counts_miller(level: int, n_max: int) -> list:
+    """Miller's counts from a fresh MillerPowers, as theta_series reads them."""
+    return MillerPowers(level).counts(n_max)
+
+
 def coset_lanes(theta: list, level: int) -> list:
     """sum_m theta(j - 2N m^2) over m in Z: the counts both routes give."""
     step = 2 * level
@@ -88,17 +94,19 @@ def test_theta_matches_both_oracles_where_the_coset_terms_enter(level):
 
 
 def test_route_is_chosen_by_level_alone(monkeypatch):
-    # a route that raises shows which one theta_series called
-    def refuse(level, n_max):
+    # a route that raises shows which one theta_series called; an empty store
+    # makes it compute
+    def refuse(level, *args):
         raise LookupError(level)
 
-    for level in (13, MILLER_LEVEL):
-        taken = "coset_counts_miller" if level >= MILLER_LEVEL else "coset_counts_dp"
+    for level in (11, MILLER_LEVEL):
+        taken = "MillerPowers" if level >= MILLER_LEVEL else "coset_counts_dp"
+        monkeypatch.setattr(cphi.qseries, "_STORES", {})
         monkeypatch.setattr(cphi.theta, taken, refuse)
         with pytest.raises(LookupError):
             theta_series.__wrapped__(level, 30)
         monkeypatch.undo()
-    assert MILLER_LEVEL == 17
+    assert MILLER_LEVEL == 13
 
 
 @lru_cache(maxsize=None)
@@ -153,6 +161,25 @@ def test_miller_fails_one_byte_below_the_largest_accumulator_lane(monkeypatch, l
     assert coset_counts_miller(level, n_max) != lanes
     monkeypatch.setattr(cphi.theta, "accumulator_bits", lambda level, n_max: narrow + 8)
     assert coset_counts_miller(level, n_max) == lanes
+
+
+@pytest.mark.parametrize("level,ladder", [(13, (20, 60, 40, 100)), (35, (10, 30, 50))])
+def test_miller_continues_across_a_width_change(monkeypatch, level, ladder):
+    # each rung's width holds its own largest accumulator lane and no more, so
+    # a longer rung must rewrite the held g_s at its wider lanes; one byte
+    # narrower, the counts go wrong
+    top = max(ladder)
+    lanes = coset_lanes(theta_series_mod_n(level, top).coefficients(), level)
+    widths = {n: -(-miller_lane_lists(level, n)[1].bit_length() // 8) * 8 for n in ladder}
+    assert len(set(widths.values())) > 1
+    for narrower, equal in ((0, True), (8, False)):
+        monkeypatch.setattr(cphi.theta, "accumulator_bits", lambda level, n: widths[n] - narrower)
+        powers = MillerPowers(level)
+        try:
+            got = [powers.counts(n) == lanes[: n + 1] for n in ladder]
+        except OverflowError:  # a wrong g_s no longer fits its lanes at the rewrite
+            got = [False]
+        assert all(got) if equal else not all(got), (narrower, got)
 
 
 @pytest.mark.parametrize("level,n_max", [(5, 1600), (13, 600), (35, 200)])

@@ -267,6 +267,53 @@ def clear_series_caches():
     for cached in (theta_series, cphi_series, main_term_series, residual_series,
                    correction_series, eta13_series):
         cached.cache_clear()
+    cphi.qseries._STORES.clear()
+
+
+def held_series(level: int, n_max: int) -> dict:
+    """Every series the store holds for one level, through q**n_max, as lists."""
+    series = {f.__name__: f(level, n_max).coefficients()
+              for f in (theta_series, cphi_series, main_term_series, correction_series,
+                        residual_series)}
+    if level == 13:
+        series["eta13_series"] = eta13_series(n_max).coefficients()
+    return series
+
+
+# increasing and decreasing prefixes; level 5 is on the DP, which recomputes
+# theta, and 13, 35 and 77 cross widths of Miller's accumulator
+LADDERS = {5: (40, 150, 90, 300), 13: (20, 100, 60, 250), 35: (20, 80, 50, 140),
+           77: (20, 60, 40, 100)}
+
+
+@pytest.mark.parametrize("level", sorted(LADDERS))
+def test_extended_series_equal_fresh_ones(level):
+    fresh = {}
+    for n_max in LADDERS[level]:
+        clear_series_caches()
+        fresh[n_max] = held_series(level, n_max)
+    clear_series_caches()
+    for n_max in LADDERS[level]:  # distinct, so every call misses the lru caches
+        assert held_series(level, n_max) == fresh[n_max], n_max
+    clear_series_caches()
+
+
+def test_a_shorter_verify_crops_what_a_longer_one_computed(monkeypatch):
+    def refuse(*args):
+        raise LookupError(args)
+
+    clear_series_caches()
+    longer = run_verification(35, 600)
+    for module, name in ((cphi.theta, "coset_counts_dp"), (cphi.theta.MillerPowers, "counts"),
+                         (cphi.qseries, "cube_stage"), (cphi.qseries, "pentagonal_stage"),
+                         (cphi.eta_partition, "pentagonal_stage")):
+        monkeypatch.setattr(module, name, refuse)
+    shorter = run_verification(35, 300)
+    assert shorter.all_passed and shorter.cphi_coeffs == longer.cphi_coeffs[:301]
+    assert shorter.b_coeffs == longer.b_coeffs[:301]
+    monkeypatch.undo()
+    clear_series_caches()
+    assert run_verification(35, 300) == shorter
 
 
 def test_main_term_reads_level_divisors_once(monkeypatch):
@@ -285,27 +332,30 @@ def test_main_term_reads_level_divisors_once(monkeypatch):
 
 
 def test_verify_computes_eta_power_minus_n_once(monkeypatch):
-    # one verify divides theta by (q;q)^N once and multiplies main by (q;q)^N
-    # once, both as add-only passes: (q;q)^(+-N) itself is never built
+    # one verify divides theta by (q;q)^N once and multiplies b by (q;q)^N
+    # once, each as one chain of stages: (q;q)^(+-N) itself is never built
     level, n_max = 13, 47
-    passes, powers = [], []
-    times_eta_power, eta_power = cphi.qseries.times_eta_power, cphi.qseries.eta_power
+    chains, powers = [], []
+    eta_power = cphi.qseries.eta_power
 
-    def counting_passes(series, k, d=1):
-        passes.append(k)
-        return times_eta_power(series, k, d)
+    class CountingChain(cphi.qseries.EtaChain):
+        __slots__ = ()
+
+        def __init__(self, k):
+            chains.append(k)
+            super().__init__(k)
 
     def counting_powers(k, trunc):
         powers.append(k)
         return eta_power(k, trunc)
 
     for module in (cphi.qseries, cphi.theta, cphi.verify, cphi.eta_partition):
-        monkeypatch.setattr(module, "times_eta_power", counting_passes, raising=False)
+        monkeypatch.setattr(module, "EtaChain", CountingChain, raising=False)
         monkeypatch.setattr(module, "eta_power", counting_powers, raising=False)
     clear_series_caches()
     run_verification(level, n_max)
-    assert passes.count(-level) == 1
-    assert passes.count(level) == 1
+    assert chains.count(-level) == 1
+    assert chains.count(level) == 1
     assert level not in powers and -level not in powers
 
 
