@@ -2,9 +2,9 @@
 
 chi_a is the real character chi_a(b) = kronecker((-1)^((a-1)/2) * a, b),
 primitive mod a for odd squarefree a.  This module also provides the
-epsilon_c units, the fourth-root normalizer A(d, N) and sign C(d, N) of the
-Eisenstein decomposition, generalized Bernoulli numbers and twisted divisor
-sums.
+epsilon_c units, the sign C(d, N) of the Eisenstein decomposition as a
+product of Kronecker symbols, generalized Bernoulli numbers and twisted
+divisor sums.
 """
 
 from __future__ import annotations
@@ -63,30 +63,17 @@ def epsilon_c(c: int) -> QuarterRadical:
     return QuarterRadical(Fraction(1), 0 if c % 4 == 1 else 1, 1)
 
 
-def unit_a(d: int, level: int) -> QuarterRadical:
-    """The fourth-root unit (-1)^((d+1)(N/d-1)/4) * epsilon_{N/d} for d | N."""
-    check_divides(d, level)
-    m = level // d
-    if d % 2 == 0 or m % 2 == 0:
-        raise ValueError("unit_a needs odd d and N")
-    exp = ((d + 1) * (m - 1)) // 4
-    return QuarterRadical(Fraction((-1) ** (exp % 2)), 0 if m % 4 == 1 else 1, 1)
-
-
 def eisenstein_sign(d: int, level: int) -> int:
-    """The sign i^((1-N*d)/2) / A(d, N) in {+1, -1} for d | N."""
-    q = QuarterRadical.i_power(((1 - level * d) // 2) % 4) * unit_a(d, level).inverse()
-    value = q.as_fraction()
-    if value not in (1, -1):
-        raise ArithmeticError(f"sign for d={d}, N={level} is not a unit: {value}")
-    alt = (
-        kronecker(-8, level)
-        * kronecker(8, d)
-        * kronecker(-4, d) ** ((level - 1) // 2)
-    )
-    if value != alt:
-        raise ArithmeticError(f"sign formulas disagree at d={d}, N={level}")
-    return int(value)
+    """The sign C(d, N) = (-8|N) (8|d) (-4|d)^((N-1)/2) in {+1, -1}, for d | N, N odd.
+
+    The Eisenstein decomposition defines C(d, N) as i^((1-N*d)/2) / A(d, N),
+    A(d, N) = (-1)^((d+1)(N/d-1)/4) * epsilon_{N/d}; the Kronecker symbols
+    give the same sign without fourth roots of unity.
+    """
+    check_divides(d, level)
+    if level % 2 == 0:
+        raise ValueError(f"the Eisenstein sign needs odd N, got {level}")
+    return kronecker(-8, level) * kronecker(8, d) * kronecker(-4, d) ** ((level - 1) // 2)
 
 
 BERNOULLI_INDEX_BOUND = 64

@@ -116,7 +116,8 @@ def _cmd_gauss(args) -> int:
     dim, a, c = args.dim, args.a, args.c
     if dim < 0 or c < 1:
         raise ValueError("gauss needs dim >= 0 and c >= 1")
-    # the reduction runs about dim * c / 2 trial divisions; printed integers stay below c**((dim+1)/2)
+    # the reduction runs under 8000 steps after one primality test of c; printed
+    # integers stay below c**((dim+1)/2)
     if (dim + 1) * c > 2 * 10**6 or (dim + 1) * len(str(c)) > 8000:
         raise ValueError(f"gauss needs (dim+1)*c <= 2000000 and (dim+1)*digits(c) <= 8000, "
                          f"got dim={dim}, c={c}")
@@ -187,7 +188,8 @@ def _cmd_ratios(args) -> int:
     validate_level(args.N)
     if args.nmax < 1:
         raise ValueError("nmax must be >= 1")
-    ratios, skipped = asymptotic_ratios(args.N, args.nmax)
+    ratios, skipped = asymptotic_ratios(cphi_series(args.N, args.nmax).coefficients(),
+                                        main_term_series(args.N, args.nmax).coefficients())
     ratios = [[n, decimal_str(r)] for n, r in ratios]
     text = [f"n={n}: {r}" for n, r in ratios]
     if skipped:
@@ -204,7 +206,7 @@ def _cusp_constants(args):
     if (level + 1) // 2 * len(str(level)) > 4000:
         raise ValueError(f"table cusp-constants needs ((N+1)//2)*digits(N) <= 4000, got N={level}")
     return [{"d": d, "theta": str(theta_cusp_constant(level, d)),
-             "eta": str(eta_cusp_constant(level, d, d))} for d in level_divisors], []
+             "eta": str(eta_cusp_constant(level, d))} for d in level_divisors], []
 
 
 # `table --which` name -> (rows, errors) from the parsed arguments

@@ -48,13 +48,10 @@ def eta_quotient_series(level: int, d: int, n_max: int) -> QSeries:
     return times_eta_power(numerator, -1, d).shift(prefix)
 
 
-def eta_cusp_constant(level: int, d: int, c: int) -> QuarterRadical:
-    """Constant term of the eta quotient at the cusp 1/c; zero unless c = d."""
+def eta_cusp_constant(level: int, d: int) -> QuarterRadical:
+    """Constant term of the eta quotient at the cusp 1/d; at the other cusps 1/c, c | N, it is 0."""
     validate_level(level)
     check_divides(d, level)
-    check_divides(c, level, "c")
-    if c != d:
-        return QuarterRadical.zero()
     coeff = kronecker(level // d, d) * Fraction(d, level) ** ((level - 1) // 2)
     return QuarterRadical(coeff, ((1 - level * d) // 2) % 4, Fraction(d, level))
 

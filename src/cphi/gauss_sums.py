@@ -4,9 +4,10 @@ G_N(a, c) = sum over x in (Z/c)^N of e(2 pi i a theta_N(x) / c), where
 theta_N(x) = sum x_i^2 + sum_{i<j} x_i x_j, so 2 theta_N = (sum x_i)^2 + sum x_i^2.
 
 The numeric oracle aggregates exact counts of theta values per residue class
-before one floating phase sum; the closed forms come from a variable
-elimination that peels one coordinate at a time, tracking the twist residue
-R in the map R -> 1/(4(1-R)) mod p.
+before one floating phase sum.  The exact value at an odd prime p comes from
+one loop that eliminates one coordinate at a time, tracking the twist residue
+R in the map R -> 1/(4(1-R)) mod p; the closed forms, for dim >= p - 1 and
+for G_{N-1}(a, d) with d | N, are what that elimination multiplies out to.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import cmath
 from collections import namedtuple
 from math import gcd, pi
-from typing import NamedTuple
 
 from .arith import check_divides, is_prime, is_squarefree
 from .radicals import QuarterRadical
@@ -89,48 +89,26 @@ def twist_map(p: int, r: int) -> int:
     return pow(4 * (1 - r), -1, p)
 
 
-class ReduceStep(NamedTuple):
-    """Outcome of eliminating coordinates from a twisted Gauss sum."""
-
-    case: str  # "terminal", "drop-two" or "drop-one"
-    factor: QuarterRadical
-    next_dim: int | None
-    next_twist: int | None
-
-
-def reduce_step(dim: int, a: int, p: int, twist: int) -> ReduceStep:
-    """One variable-elimination step for sum_x e(a(theta_dim(x) - R x_dim^2)/p).
-
-    R = 1, dim <= 2: the sum collapses to p.  R = 1, dim > 2: factor p and a
-    plain Gauss sum in dim-2 variables remains (twist 0).  R != 1: factor
-    epsilon_p sqrt(p) (a(1-R)|p) and the twist advances to 1/(4(1-R)).
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p={p} must be an odd prime")
-    if gcd(a, p) != 1:
-        raise ValueError(f"gcd({a}, {p}) != 1")
-    if dim < 1:
-        raise ValueError("nothing to reduce in dimension 0")
-    if (twist - 1) % p == 0:
-        if dim <= 2:
-            return ReduceStep("terminal", QuarterRadical(p), None, None)
-        return ReduceStep("drop-two", QuarterRadical(p), dim - 2, 0)
-    factor = epsilon_c(p) * QuarterRadical.sqrt_of(p)
-    factor = factor * kronecker(a * (1 - twist), p)
-    return ReduceStep("drop-one", factor, dim - 1, twist_map(p, twist))
-
-
 def gauss_sum_by_reduction(dim: int, a: int, p: int) -> QuarterRadical:
-    """Exact G_dim(a, p) for odd prime p by composing reduction steps."""
-    acc = QuarterRadical.one()
-    twist = 0
+    """Exact G_dim(a, p) for odd prime p, eliminating coordinates one at a time.
+
+    The sum over x of e(a(theta_dim(x) - R x_dim^2)/p) starts at twist R = 0.
+    R != 1: factor epsilon_p sqrt(p) (a(1-R)|p), one coordinate fewer, and R
+    advances to 1/(4(1-R)).  R = 1: factor p, two coordinates fewer and R = 0
+    again; with at most two coordinates left the rest is the empty sum 1.
+    """
+    GaussSumQuery(dim, a, p)  # dim >= 0, gcd(a, p) = 1
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p={p} must be an odd prime")
+    root = epsilon_c(p) * QuarterRadical.sqrt_of(p)
+    acc, sign, twist = QuarterRadical.one(), 1, 0
     while dim > 0:
-        step = reduce_step(dim, a, p, twist)
-        acc = acc * step.factor
-        if step.case == "terminal":
-            return acc
-        dim, twist = step.next_dim, step.next_twist
-    return acc
+        if twist == 1:
+            acc, dim, twist = acc * p, dim - 2, 0
+        else:
+            sign *= kronecker(a * (1 - twist), p)
+            acc, dim, twist = acc * root, dim - 1, twist_map(p, twist)
+    return acc * sign
 
 
 def gauss_sum_prime_closed(dim: int, a: int, p: int):

@@ -78,20 +78,6 @@ class QuarterRadical(namedtuple("QuarterRadical", "coeff i_exp radicand")):
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QuarterRadical":
-        """Multiplicative inverse: 1/(c i^m sqrt(r)) = i^(-m) sqrt(r)/(c r)."""
-        if self.coeff == 0:
-            raise ZeroDivisionError("inverse of zero radical value")
-        return QuarterRadical(
-            Fraction(1, 1) / (self.coeff * self.radicand), -self.i_exp, self.radicand
-        )
-
-    def as_fraction(self) -> Fraction:
-        """The value as a rational; raises if it is irrational or imaginary."""
-        if self.i_exp != 0 or self.radicand != 1:
-            raise ValueError(f"{self} is not rational")
-        return self.coeff
-
     def approx(self) -> tuple[float, float]:
         """Floating (re, im) approximation; relative error well under 2**-40."""
         mag = float(self.coeff) * math.sqrt(self.radicand)

@@ -15,7 +15,8 @@ not apply; each one can fail.  run_verification runs the table; the b1 and
 kolitsch summary tables read the same check functions.
 
 A report holds the coefficients and the check results; it builds the ratio
-table cphi_N(n) / main(n) only when it prints JSON.
+table cphi_N(n) / main(n) from its own coefficients, and only when it prints
+JSON.
 """
 
 from __future__ import annotations
@@ -91,21 +92,18 @@ def eta13_series(n_max: int) -> QSeries:
     return QSeries(1, series[:n_max], n_max)
 
 
-def asymptotic_ratios(level: int, n_max: int):
-    """Pairs (n, cphi_N(n) / main term) for n >= 1, skipping zero main terms.
+def asymptotic_ratios(cphi_coeffs: list, main_coeffs: list):
+    """Pairs (n, cphi_N(n) / main term) for n >= 1 from the two coefficient lists.
 
     Returns (ratios, skipped): points where the partition side vanishes are
     recorded rather than divided by.
     """
-    cphi = cphi_series(level, n_max)
-    main = main_term_series(level, n_max)
     ratios, skipped = [], []
-    for n in range(1, n_max + 1):
-        m = main.coefficient(n)
+    for n, (c, m) in enumerate(zip(cphi_coeffs[1:], main_coeffs[1:]), 1):
         if m == 0:
             skipped.append(n)
         else:
-            ratios.append((n, Fraction(cphi.coefficient(n), m)))
+            ratios.append((n, Fraction(c, m)))
     return ratios, skipped
 
 
@@ -142,7 +140,7 @@ class VerificationReport(NamedTuple):
         return matches[0]
 
     def to_json_dict(self) -> dict:
-        ratios, _ = asymptotic_ratios(self.level, self.n_max)
+        ratios, _ = asymptotic_ratios(self.cphi_coeffs, self.main_coeffs)
         return {
             "N": self.level,
             "nMax": self.n_max,

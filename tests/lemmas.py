@@ -3,16 +3,18 @@
 These are the Kolitsch and Chan-Wang-Yan proof steps behind the identity
 cphi_N(n) = sum_{d|N} (N/d) P(Nn/d^2 - (N^2-d^2)/(24d^2)) + b(n): the
 classical Gauss sum W(chi_d), the coprime splitting of Gauss sums, the twist
-orbit and the reduction unit of the closed forms, the vanishing orders of the
-eta quotients at the cusps, and the per-divisor Eisenstein parts.  No `cphi`
-command reaches them; the acceptance criteria and the unit tests check them
-against the library.
+orbit, the single variable-elimination step and the reduction unit of the
+closed forms, the defining route of the Eisenstein sign C(d, N) through the
+fourth-root unit A(d, N), the vanishing orders of the eta quotients at the
+cusps, and the per-divisor Eisenstein parts.  No `cphi` command reaches them;
+the acceptance criteria and the unit tests check them against the library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from cphi.arith import check_divides, is_prime, is_squarefree, prime_factors, validate_level
 from cphi.characters import epsilon_c, kronecker, sigma_twisted
@@ -62,6 +64,50 @@ def twist_orbit(p: int, t: int) -> int:
     return r % p
 
 
+class ReduceStep(NamedTuple):
+    """Outcome of eliminating coordinates from a twisted Gauss sum."""
+
+    case: str  # "terminal", "drop-two" or "drop-one"
+    factor: QuarterRadical
+    next_dim: int | None
+    next_twist: int | None
+
+
+def reduce_step(dim: int, a: int, p: int, twist: int) -> ReduceStep:
+    """One variable-elimination step for sum_x e(a(theta_dim(x) - R x_dim^2)/p).
+
+    R = 1, dim <= 2: the sum collapses to p.  R = 1, dim > 2: factor p and a
+    plain Gauss sum in dim-2 variables remains (twist 0).  R != 1: factor
+    epsilon_p sqrt(p) (a(1-R)|p) and the twist advances to 1/(4(1-R)).
+    """
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p={p} must be an odd prime")
+    if gcd(a, p) != 1:
+        raise ValueError(f"gcd({a}, {p}) != 1")
+    if dim < 1:
+        raise ValueError("nothing to reduce in dimension 0")
+    if (twist - 1) % p == 0:
+        if dim <= 2:
+            return ReduceStep("terminal", QuarterRadical(p), None, None)
+        return ReduceStep("drop-two", QuarterRadical(p), dim - 2, 0)
+    factor = epsilon_c(p) * QuarterRadical.sqrt_of(p)
+    factor = factor * kronecker(a * (1 - twist), p)
+    return ReduceStep("drop-one", factor, dim - 1, twist_map(p, twist))
+
+
+def gauss_sum_by_steps(dim: int, a: int, p: int) -> QuarterRadical:
+    """G_dim(a, p) for odd prime p as the product of the reduce_step factors from twist 0."""
+    acc = QuarterRadical.one()
+    twist = 0
+    while dim > 0:
+        step = reduce_step(dim, a, p, twist)
+        acc = acc * step.factor
+        if step.case == "terminal":
+            return acc
+        dim, twist = step.next_dim, step.next_twist
+    return acc
+
+
 def reduction_unit(d: int, level: int) -> QuarterRadical:
     """prod_{p|d} i^((N-Np)/2) (d/p|p) divided by i^((N-Nd)/2); always 1."""
     check_divides(d, level)
@@ -70,7 +116,26 @@ def reduction_unit(d: int, level: int) -> QuarterRadical:
         acc = acc * QuarterRadical(
             kronecker(d // p, p), ((level - level * p) // 2) % 4, 1
         )
-    return acc * QuarterRadical.i_power(((level - level * d) // 2) % 4).inverse()
+    return acc * QuarterRadical.i_power(((level * d - level) // 2) % 4)
+
+
+def unit_a(d: int, level: int) -> QuarterRadical:
+    """The fourth-root unit A(d, N) = (-1)^((d+1)(N/d-1)/4) * epsilon_{N/d} for d | N."""
+    check_divides(d, level)
+    m = level // d
+    if d % 2 == 0 or m % 2 == 0:
+        raise ValueError("unit_a needs odd d and N")
+    exp = ((d + 1) * (m - 1)) // 4
+    return QuarterRadical(Fraction((-1) ** (exp % 2)), 0 if m % 4 == 1 else 1, 1)
+
+
+def eisenstein_sign_by_unit(d: int, level: int) -> int:
+    """C(d, N) by its definition, the sign s with s * A(d, N) = i^((1-N*d)/2)."""
+    target = QuarterRadical.i_power(((1 - level * d) // 2) % 4)
+    for sign in (1, -1):
+        if sign * unit_a(d, level) == target:
+            return sign
+    raise ArithmeticError(f"i^((1-Nd)/2) / A(d, N) is not a sign at d={d}, N={level}")
 
 
 def cusp_vanishing_order(level: int, d: int, c: int) -> Fraction:

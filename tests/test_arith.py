@@ -10,7 +10,7 @@ from cphi.arith import (
     squarefree_split,
     validate_level,
 )
-from cphi.characters import sigma_twisted, unit_a
+from cphi.characters import sigma_twisted
 from cphi.eta_partition import (
     EtaQuotientSpec,
     eta_cusp_constant,
@@ -18,7 +18,7 @@ from cphi.eta_partition import (
 )
 from cphi.gauss_sums import gauss_sum_closed
 from cphi.theta import theta_cusp_constant
-from lemmas import cusp_vanishing_order, reduction_unit
+from lemmas import cusp_vanishing_order, reduction_unit, unit_a
 
 
 def factorize_brute(n):
@@ -75,8 +75,7 @@ DIVISOR_SITES = {
     "EtaQuotientSpec": ("d", lambda d: EtaQuotientSpec(5, d)),
     "cusp_vanishing_order": ("d", lambda d: cusp_vanishing_order(5, d, 1)),
     "cusp_vanishing_order-c": ("c", lambda c: cusp_vanishing_order(5, 5, c)),
-    "eta_cusp_constant": ("d", lambda d: eta_cusp_constant(5, d, 5)),
-    "eta_cusp_constant-c": ("c", lambda c: eta_cusp_constant(5, 5, c)),
+    "eta_cusp_constant": ("d", lambda d: eta_cusp_constant(5, d)),
     "scaled_partition_term": ("d", lambda d: scaled_partition_term(5, d, 1)),
     "gauss_sum_closed": ("d", lambda d: gauss_sum_closed(5, 1, d)),
     "reduction_unit": ("d", lambda d: reduction_unit(d, 5)),

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from cphi import characters, eisenstein
-from cphi.arith import divisors
+from cphi.arith import divisors, is_squarefree
 from cphi.characters import (
     BERNOULLI_INDEX_BOUND,
     bernoulli_chi,
@@ -16,10 +16,9 @@ from cphi.characters import (
     kronecker,
     sigma_twisted,
     twisted_divisor_sums,
-    unit_a,
 )
 from cphi.radicals import QuarterRadical
-from lemmas import gauss_w
+from lemmas import eisenstein_sign_by_unit, gauss_w, unit_a
 from oracles import (
     BERNOULLI_MINUS,
     bernoulli_chi_polynomial_route,
@@ -106,30 +105,22 @@ def test_unit_a_case_table():
 
 
 def test_eisenstein_sign_formulas_agree():
-    for level in (5, 7, 11, 13, 35, 55, 77, 91):
+    # the Kronecker product against the definition i^((1-Nd)/2) / A(d, N) at
+    # every valid level N < 2000, far past the N <= 129 that bernoulli_chi's
+    # index bound lets eisenstein_profile reach
+    levels = [n for n in range(1, 2000) if gcd(n, 6) == 1 and is_squarefree(n)]
+    assert len(levels) == 609 and levels[-1] == 1999
+    for level in levels:
         for d in divisors(level):
-            sign = eisenstein_sign(d, level)
-            assert sign in (1, -1)
-            alt = (
-                kronecker(-8, level)
-                * kronecker(8, d)
-                * kronecker(-4, d) ** ((level - 1) // 2)
-            )
-            assert sign == alt
+            assert eisenstein_sign(d, level) == eisenstein_sign_by_unit(d, level), (d, level)
+    with pytest.raises(ValueError):
+        eisenstein_sign(2, 10)
+    with pytest.raises(ValueError):
+        eisenstein_sign(3, 5)
 
 
 def test_eisenstein_sign_spec_value():
     assert eisenstein_sign(5, 5) == 1
-
-
-def test_eisenstein_sign_raises_when_formulas_disagree(monkeypatch):
-    real = characters.kronecker
-    # flipping kronecker(-8, N) flips the Kronecker-symbol route only
-    monkeypatch.setattr(
-        characters, "kronecker", lambda a, b: -real(a, b) if a == -8 else real(a, b)
-    )
-    with pytest.raises(ArithmeticError, match="disagree at d=5, N=5"):
-        eisenstein_sign(5, 5)
 
 
 def test_gauss_w():

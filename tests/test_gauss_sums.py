@@ -14,11 +14,10 @@ from cphi.gauss_sums import (
     gauss_sum_closed,
     gauss_sum_numeric,
     gauss_sum_prime_closed,
-    reduce_step,
     twist_map,
 )
 from cphi.radicals import QuarterRadical
-from lemmas import coprime_split, reduction_unit, twist_orbit
+from lemmas import coprime_split, gauss_sum_by_steps, reduce_step, reduction_unit, twist_orbit
 from oracles import (
     approx_complex,
     evaluate_numeric,
@@ -190,6 +189,23 @@ def test_reduce_step_matches_twisted_sums():
 
 def test_reduction_chain_g45():
     assert gauss_sum_by_reduction(4, 1, 5) == QuarterRadical(-25, 0, 5)
+
+
+def test_reduction_loop_matches_composed_steps():
+    # 10,800 inputs: every odd prime p <= 23, every a < 2p prime to p, every dim < 60
+    grid = [(dim, a, p) for p in (3, 5, 7, 11, 13, 17, 19, 23)
+            for a in range(1, 2 * p) if a % p for dim in range(60)]
+    assert len(grid) == 10800
+    for dim, a, p in grid:
+        assert gauss_sum_by_reduction(dim, a, p) == gauss_sum_by_steps(dim, a, p), (dim, a, p)
+
+
+@pytest.mark.parametrize("dim,a,p", [(-3, 1, 5), (0, 1, 4), (0, 5, 5), (0, 1, 1), (3, 1, 2),
+                                     (3, 1, 9), (3, 3, 3), (2, 1, -3)])
+def test_reduction_validates_without_a_step(dim, a, p):
+    # dim >= 0, p an odd prime and gcd(a, p) = 1, also where no coordinate is eliminated
+    with pytest.raises(ValueError):
+        gauss_sum_by_reduction(dim, a, p)
 
 
 def test_reduction_chain_matches_prime_closed_form():

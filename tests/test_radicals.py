@@ -76,16 +76,6 @@ def test_approx_respects_products():
         assert abs(left - right) <= 1e-9 * max(abs(left), abs(right), 1.0)
 
 
-def test_inverse_and_rational_extraction():
-    x = QuarterRadical(Fraction(-3, 2), 1, 7)
-    assert x * x.inverse() == QuarterRadical.one()
-    with pytest.raises(ZeroDivisionError):
-        QuarterRadical.zero().inverse()
-    assert QuarterRadical(Fraction(4, 9)).as_fraction() == Fraction(4, 9)
-    with pytest.raises(ValueError):
-        QuarterRadical(1, 1, 1).as_fraction()
-
-
 def test_rejects_nonpositive_radicand():
     with pytest.raises(ValueError):
         QuarterRadical(1, 0, 0)

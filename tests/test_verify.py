@@ -104,14 +104,20 @@ def test_eta13_series_expansion():
     assert eta13_series(0) == QSeries.zero(0)
 
 
+def series_ratios(level, n_max):
+    """asymptotic_ratios of the cphi and partition-side series, as `cphi ratios` reads them."""
+    return asymptotic_ratios(cphi_series(level, n_max).coefficients(),
+                             main_term_series(level, n_max).coefficients())
+
+
 def test_asymptotic_ratios_level5_exactly_one():
-    ratios, skipped = asymptotic_ratios(5, 120)
+    ratios, skipped = series_ratios(5, 120)
     assert skipped == []
     assert all(r == 1 for _, r in ratios)
 
 
 def test_asymptotic_ratios_level13():
-    ratios, _ = asymptotic_ratios(13, 200)
+    ratios, _ = series_ratios(13, 200)
     by_n = dict(ratios)
     assert by_n[1] == Fraction(169, 143)
     assert abs(by_n[200] - 1) < Fraction(1, 10)
@@ -119,7 +125,7 @@ def test_asymptotic_ratios_level13():
 
 
 def test_asymptotic_ratios_skip_zero_main():
-    ratios, skipped = asymptotic_ratios(35, 10)
+    ratios, skipped = series_ratios(35, 10)
     assert 1 in skipped  # every partition argument is negative at n = 1
     assert all(m >= 1 for m, _ in ratios)
 
@@ -169,7 +175,7 @@ def test_decimal_str_matches_fraction_oracle():
     ]
     grid += [(value, digits) for value in edges for digits in (0, 1, 11, 12, 13)]
     for level, n_max in ((5, 1600), (13, 600), (35, 200)):
-        ratios, _ = asymptotic_ratios(level, n_max)
+        ratios, _ = series_ratios(level, n_max)
         grid += [(r, 12) for _, r in ratios]
     for value, digits in grid:
         assert decimal_str(value, digits) == decimal_str_fraction(value, digits), (value, digits)
@@ -201,7 +207,7 @@ def test_report_csv():
 
 
 def test_only_json_reports_build_the_ratio_table(monkeypatch):
-    def unused(level, n_max):
+    def unused(cphi_coeffs, main_coeffs):
         raise AssertionError("ratio table built for a report that does not print it")
 
     monkeypatch.setattr(cphi.verify, "asymptotic_ratios", unused)
@@ -298,15 +304,20 @@ def test_extended_series_equal_fresh_ones(level):
     clear_series_caches()
 
 
-def test_a_shorter_verify_crops_what_a_longer_one_computed(monkeypatch):
-    def refuse(*args):
-        raise LookupError(args)
+# every theta count and every eta stage a series can run
+SERIES_WORK = ((cphi.theta, "coset_counts_dp"), (cphi.theta.MillerPowers, "counts"),
+               (cphi.qseries, "cube_stage"), (cphi.qseries, "pentagonal_stage"),
+               (cphi.eta_partition, "pentagonal_stage"))
 
+
+def refuse(*args):
+    raise LookupError(args)
+
+
+def test_a_shorter_verify_crops_what_a_longer_one_computed(monkeypatch):
     clear_series_caches()
     longer = run_verification(35, 600)
-    for module, name in ((cphi.theta, "coset_counts_dp"), (cphi.theta.MillerPowers, "counts"),
-                         (cphi.qseries, "cube_stage"), (cphi.qseries, "pentagonal_stage"),
-                         (cphi.eta_partition, "pentagonal_stage")):
+    for module, name in SERIES_WORK:
         monkeypatch.setattr(module, name, refuse)
     shorter = run_verification(35, 300)
     assert shorter.all_passed and shorter.cphi_coeffs == longer.cphi_coeffs[:301]
@@ -314,6 +325,19 @@ def test_a_shorter_verify_crops_what_a_longer_one_computed(monkeypatch):
     monkeypatch.undo()
     clear_series_caches()
     assert run_verification(35, 300) == shorter
+
+
+def test_json_report_reads_its_own_coefficients(monkeypatch):
+    # the ratio table comes from the report's cphi and main coefficients, so
+    # printing it after the series caches are gone computes no series
+    report = run_verification(35, 200)
+    expected = report.to_json()
+    clear_series_caches()
+    for module, name in SERIES_WORK + ((cphi.verify, "main_term"),):
+        monkeypatch.setattr(module, name, refuse)
+    assert report.to_json() == expected
+    monkeypatch.undo()
+    clear_series_caches()
 
 
 def test_main_term_reads_level_divisors_once(monkeypatch):
