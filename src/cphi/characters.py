@@ -3,8 +3,11 @@
 chi_a is the real character chi_a(b) = kronecker((-1)^((a-1)/2) * a, b),
 primitive mod a for odd squarefree a.  This module also provides the
 epsilon_c units, the sign C(d, N) of the Eisenstein decomposition as a
-product of Kronecker symbols, generalized Bernoulli numbers and twisted
-divisor sums.
+product of Kronecker symbols, generalized Bernoulli numbers and the twisted
+divisor sum sigma_twisted of one n.  chi_a is periodic mod a, so the
+Eisenstein series reads it from a table of a values and sums over divisors
+with one sieve for all n at once (eisenstein.py); the per-n sums over all
+d | N are a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -127,24 +130,6 @@ def sigma_twisted(k: int, level: int, d: int, n: int) -> int:
             if cq:
                 total += cq * ct * t**k
     return total
-
-
-def twisted_divisor_sums(k: int, level: int, n: int) -> dict:
-    """{d: sigma_twisted(k, level, d, n)} for every d | N, N a valid level.
-
-    chi_d = prod_{p | d} chi_p, so divisors(n) once and chi_p(t) once per prime
-    p | N and t | n give chi_d(t) and chi_{N/d}(n/t) for every d.
-    """
-    if k < 0:
-        raise ValueError("negative weight exponent")
-    level_divisors, level_primes = context(level)
-    chis = {t: {1: 1} for t in divisors(n)}  # chis[t][d] = chi_d(t); divisors rejects n < 1
-    for p in level_primes:
-        for t, row in chis.items():
-            c = chi(p, t)
-            row.update([(d * p, s * c) for d, s in row.items()])
-    return {d: sum(row[d] * chis[n // t][level // d] * t**k for t, row in chis.items())
-            for d in level_divisors}
 
 
 @lru_cache(maxsize=None)

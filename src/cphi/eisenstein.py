@@ -2,9 +2,14 @@
 
 For a valid level N with k = (N-1)/2, the Eisenstein component attached to a
 divisor d carries the coefficient C(d,N) (N/d)^((N-3)/2) (1-N)/B_{k,chi_N}
-against the twisted divisor sums sigma_{(N-3)/2}(chi_{N/d}, chi_d; n).  The
-aggregate coefficient of q^n in the theta decomposition has a second,
-multiplicative evaluation route used as a cross-check.
+against the twisted divisor sums sigma_{(N-3)/2}(chi_{N/d}, chi_d; n).  Those
+sums are Dirichlet convolutions, so theta_eisenstein_series takes them for
+every n <= nMax from one divisor sieve per d | N: chi_d(t) t^k is added,
+times chi_{N/d}(u), into the entry t*u, about nMax ln(nMax) integer steps per
+d, with chi_d and chi_{N/d} read from tables mod d and mod N/d (2 sigma(N)
+character values in all, whatever nMax).  The aggregate coefficient of q^n
+has a second, multiplicative route over the primes of n, in integers; the
+per-n divisor-sum route is a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -13,14 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import factorize
-from .characters import (
-    bernoulli_chi,
-    chi,
-    context,
-    eisenstein_sign,
-    kronecker,
-    twisted_divisor_sums,
-)
+from .characters import bernoulli_chi, chi, context, eisenstein_sign, kronecker
 from .qseries import QSeries
 
 
@@ -37,52 +35,51 @@ def eisenstein_profile(level: int) -> tuple:
     return Fraction(1 - level) / bern, {d: eisenstein_sign(d, level) for d in level_divisors}
 
 
-def eisenstein_coefficient(level: int, n: int) -> Fraction:
-    """Coefficient of q**n (n >= 1) in the theta Eisenstein part, divisor-sum route."""
-    if n < 1:
-        raise ValueError("coefficients start at n = 1")
-    prefactor, signs = eisenstein_profile(level)
-    k = (level - 3) // 2
-    sums = twisted_divisor_sums(k, level, n)
-    # prefactor * C(d,N) * (N/d)^k per divisor, summed in integers
-    return prefactor * sum(sign * (level // d) ** k * sums[d] for d, sign in signs.items())
-
-
 def eisenstein_coefficient_factored(level: int, n: int) -> Fraction:
-    """Same coefficient by the multiplicative factorization over primes.
+    """Coefficient of q**n (n >= 1) in the theta Eisenstein part, by its factorization over primes.
 
     Splits off (-8|N) (1-N)/B N^k, a geometric factor per prime of n, and a
-    product over primes s | N with the signs C(s, N) of the profile; exact
-    agreement with the divisor-sum route is a structural cross-check.
+    factor per prime s | N with the signs C(s, N) of the profile, all as one
+    integer numerator over one integer denominator; exact agreement with the
+    sieve is a structural cross-check.
     """
     if n < 1:
         raise ValueError("coefficients start at n = 1")
     prefactor, signs = eisenstein_profile(level)
     k = (level - 3) // 2
     sign8 = kronecker(-8, level)
-    lead = sign8 * prefactor * level**k
-    factors = factorize(n)
-    geom = Fraction(1)
-    for p, e in factors:
+    num, den = sign8 * prefactor.numerator * level**k, prefactor.denominator
+    exponents = dict(factorize(n))
+    for p, e in exponents.items():
         if level % p == 0:
-            geom *= p ** (k * e)
-        else:
+            num *= p ** (k * e)
+        else:  # (p^(k(e+1)) - x^(e+1)) / (p^k - x), a geometric sum
             x = chi(level, p)
-            geom *= Fraction(p ** (k * (e + 1)) - x ** (e + 1), p**k - x)
-    local = Fraction(1)
+            num *= (p ** (k * (e + 1)) - x ** (e + 1)) // (p**k - x)
     for s in context(level)[1]:
-        t = Fraction(1)
-        for p, e in factors:
-            if p == s:
-                t *= Fraction(chi(level // s, p**e), p ** (k * e))
-            else:
-                t *= chi(s, p**e)
-        local *= 1 + sign8 * signs[s] * Fraction(1, s**k) * t
-    return lead * geom * local
+        # s^e || n: 1 + (-8|N) C(s,N) chi_{N/s}(s^e) chi_s(n/s^e) / s^(k(e+1))
+        e = exponents.get(s, 0)
+        top = s ** (k * (e + 1))
+        num *= top + sign8 * signs[s] * chi(level // s, s**e) * chi(s, n // s**e)
+        den *= top
+    return Fraction(num, den)
 
 
 def theta_eisenstein_series(level: int, n_max: int) -> QSeries:
     """1 + sum of aggregate Eisenstein coefficients; the cusp-free part of theta."""
-    coeffs = [Fraction(1)]
-    coeffs += [eisenstein_coefficient(level, n) for n in range(1, n_max + 1)]
-    return QSeries(0, coeffs, n_max)
+    prefactor, signs = eisenstein_profile(level)
+    k = (level - 3) // 2
+    powers = [t**k for t in range(n_max + 1)]
+    total = [0] * (n_max + 1)  # sum_d C(d,N) (N/d)^k sigma_k(chi_{N/d}, chi_d; n)
+    for d, sign in signs.items():
+        m = level // d
+        chi_d = [chi(d, t) for t in range(d)]
+        chi_m = [chi(m, u) for u in range(m)]
+        row = (chi_m * (n_max // m + 2))[1 : n_max + 1]  # chi_m(u) for u = 1..n_max
+        scale = sign * m**k
+        for t in range(1, n_max + 1):
+            if c := chi_d[t % d]:
+                w = c * scale * powers[t]
+                total[t::t] = [s + w * x for s, x in zip(total[t::t], row)]
+    p, q = prefactor.numerator, prefactor.denominator
+    return QSeries(0, [Fraction(1)] + [Fraction(p * s, q) for s in total[1:]], n_max)

@@ -352,7 +352,8 @@ class EtaChain:
     |k| // 3 cube stages, each (q;q)**3 by Jacobi's identity, then |k| mod 3
     pentagonal stages; each stage reads the one before it (the first reads
     the source) and only appends, so a longer source continues every stage
-    from its first missing entry.
+    from its first missing entry.  An all-zero source runs no stage: each is
+    padded with zeros, which a later nonzero source continues.
     """
 
     __slots__ = ("k", "stages")
@@ -364,6 +365,10 @@ class EtaChain:
     def extend(self, src) -> list:
         """The last stage, holding at least len(src) coefficients of src * (q;q)**k (src if k = 0)."""
         stop, cubes = len(src), abs(self.k) // 3
+        if self.stages and not any(src):  # every stage of a zero prefix is zero
+            for out in self.stages:
+                out += [0] * (stop - len(out))
+            return self.stages[-1]
         terms = (cube_terms(stop - 1), pentagonal_terms(stop - 1))
         for i, out in enumerate(self.stages):
             if len(out) < stop:

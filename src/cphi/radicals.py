@@ -65,15 +65,23 @@ class QuarterRadical(namedtuple("QuarterRadical", "coeff i_exp radicand")):
 
     # -- arithmetic --------------------------------------------------------
 
+    @classmethod
+    def _normal(cls, c: Fraction, m: int, rad: int) -> "QuarterRadical":
+        """c * i**m * sqrt(rad) for a squarefree rad, normalized without factoring."""
+        if m % 4 >= 2:
+            c = -c
+        if c == 0:
+            return tuple.__new__(cls, (c, 0, 1))
+        return tuple.__new__(cls, (c, m % 2, rad))
+
     def __mul__(self, other):
         if isinstance(other, QuarterRadical):
-            return QuarterRadical(
-                self.coeff * other.coeff,
-                self.i_exp + other.i_exp,
-                Fraction(self.radicand) * Fraction(other.radicand),
-            )
+            # sqrt(r1) sqrt(r2) = g sqrt((r1/g)(r2/g)), g = gcd(r1, r2): squarefree again
+            g = math.gcd(self.radicand, other.radicand)
+            return self._normal(self.coeff * other.coeff * g, self.i_exp + other.i_exp,
+                                (self.radicand // g) * (other.radicand // g))
         if isinstance(other, (int, Fraction)):
-            return QuarterRadical(self.coeff * other, self.i_exp, self.radicand)
+            return self._normal(self.coeff * other, self.i_exp, self.radicand)
         return NotImplemented
 
     __rmul__ = __mul__

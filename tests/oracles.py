@@ -12,8 +12,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, isqrt, pi
 
-from cphi.arith import validate_level
-from cphi.characters import chi
+from cphi.arith import divisors, validate_level
+from cphi.characters import chi, context
+from cphi.eisenstein import eisenstein_profile
 from cphi.eta_partition import EtaQuotientSpec, partition_count
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
 from cphi.qseries import QSeries, euler_coefficients
@@ -679,3 +680,33 @@ def bernoulli_chi_term_division(k: int, level: int) -> Fraction:
     for n in range(k + 1):
         b.append((num[n] - sum(den[j] * b[n - j] for j in range(1, n + 1))) / den[0])
     return b[k] * factorial(k)
+
+
+def twisted_divisor_sums(k: int, level: int, n: int) -> dict:
+    """{d: sigma_twisted(k, level, d, n)} for every d | N, N a valid level.
+
+    chi_d = prod_{p | d} chi_p, so divisors(n) once and chi_p(t) once per prime
+    p | N and t | n give chi_d(t) and chi_{N/d}(n/t) for every d.  This was the
+    library's per-n route before the divisor sieve of theta_eisenstein_series.
+    """
+    if k < 0:
+        raise ValueError("negative weight exponent")
+    level_divisors, level_primes = context(level)
+    chis = {t: {1: 1} for t in divisors(n)}  # chis[t][d] = chi_d(t); divisors rejects n < 1
+    for p in level_primes:
+        for t, row in chis.items():
+            c = chi(p, t)
+            row.update([(d * p, s * c) for d, s in row.items()])
+    return {d: sum(row[d] * chis[n // t][level // d] * t**k for t, row in chis.items())
+            for d in level_divisors}
+
+
+def eisenstein_coefficient(level: int, n: int) -> Fraction:
+    """Coefficient of q**n (n >= 1) in the theta Eisenstein part, divisor-sum route of one n."""
+    if n < 1:
+        raise ValueError("coefficients start at n = 1")
+    prefactor, signs = eisenstein_profile(level)
+    k = (level - 3) // 2
+    sums = twisted_divisor_sums(k, level, n)
+    # prefactor * C(d,N) * (N/d)^k per divisor, summed in integers
+    return prefactor * sum(sign * (level // d) ** k * sums[d] for d, sign in signs.items())

@@ -9,11 +9,7 @@ from math import exp, gcd, pi, sqrt
 
 from cphi.arith import divisors
 from cphi.characters import epsilon_c, kronecker
-from cphi.eisenstein import (
-    eisenstein_coefficient,
-    eisenstein_coefficient_factored,
-    theta_eisenstein_series,
-)
+from cphi.eisenstein import eisenstein_coefficient_factored, theta_eisenstein_series
 from cphi.eta_partition import eta_quotient_series, multi_partition_series
 from cphi.gauss_sums import gauss_sum_by_reduction, gauss_sum_closed, gauss_sum_numeric
 from cphi.qseries import QSeries
@@ -34,7 +30,12 @@ from lemmas import (
     reduction_unit,
     twist_orbit,
 )
-from oracles import evaluate_numeric, multi_partition_sigma_route, u_operator
+from oracles import (
+    eisenstein_coefficient,
+    evaluate_numeric,
+    multi_partition_sigma_route,
+    u_operator,
+)
 
 
 def _report(number: str, ok: bool, detail: str) -> None:

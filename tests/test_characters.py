@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cphi import characters, eisenstein
+from cphi import arith, characters, eisenstein
 from cphi.arith import divisors, is_squarefree
 from cphi.characters import (
     BERNOULLI_INDEX_BOUND,
@@ -15,7 +15,6 @@ from cphi.characters import (
     epsilon_c,
     kronecker,
     sigma_twisted,
-    twisted_divisor_sums,
 )
 from cphi.radicals import QuarterRadical
 from lemmas import eisenstein_sign_by_unit, gauss_w, unit_a
@@ -26,6 +25,7 @@ from oracles import (
     bernoulli_chi_term_division,
     classical_bernoulli_minus,
     kronecker_factored,
+    twisted_divisor_sums,
 )
 
 
@@ -274,25 +274,29 @@ def test_twisted_divisor_sums_match_sigma_twisted(level):
         twisted_divisor_sums(-1, level, 5)
 
 
-def test_eisenstein_coefficient_factors_each_n_once(monkeypatch):
-    # one divisors(n) for all d | N, and chi_p(t) once per prime p | N and t | n
+def test_eisenstein_sieve_reads_fixed_character_tables(monkeypatch):
+    # one table of chi_d mod d and one of chi_{N/d} mod N/d per d | N: 2 sigma(N)
+    # chi values whatever nMax, and no divisors or factorization of any n
     eisenstein.eisenstein_profile(35)
-    calls = {"divisors": 0, "chi": 0}
-    real_divisors, real_chi = characters.divisors, characters.chi
+    calls = {"chi": 0, "divisors": 0, "factorize": 0}
 
-    def counting_divisors(n):
-        calls["divisors"] += 1
-        return real_divisors(n)
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
 
-    def counting_chi(a, b):
-        calls["chi"] += 1
-        return real_chi(a, b)
-
-    monkeypatch.setattr(characters, "divisors", counting_divisors)
-    monkeypatch.setattr(characters, "chi", counting_chi)
-    eisenstein.theta_eisenstein_series(35, 60)
-    assert calls["divisors"] == 60
-    assert calls["chi"] == 2 * sum(len(real_divisors(n)) for n in range(1, 61))
+    for module in (arith, characters, eisenstein):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    counts = []
+    for n_max in (60, 600):
+        calls.update(chi=0)
+        eisenstein.theta_eisenstein_series(35, n_max)
+        counts.append(calls["chi"])
+    assert counts == [2 * (1 + 5 + 7 + 35)] * 2
+    assert calls["divisors"] == calls["factorize"] == 0
 
 
 def test_context_validation():

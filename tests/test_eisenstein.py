@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import cphi.eisenstein
-from cphi.arith import divisors
+from cphi.arith import divisors, is_squarefree
 from cphi.characters import bernoulli_chi, eisenstein_sign, kronecker
 from cphi.eisenstein import (
-    eisenstein_coefficient,
     eisenstein_coefficient_factored,
     eisenstein_profile,
     theta_eisenstein_series,
@@ -16,7 +16,7 @@ from cphi.eta_partition import eta_quotient_series
 from cphi.qseries import QSeries
 from cphi.theta import theta_series
 from lemmas import eta_eisenstein_series, partition_eisenstein_series
-from oracles import u_operator
+from oracles import eisenstein_coefficient, u_operator
 
 
 def test_profile_shape():
@@ -30,6 +30,7 @@ def test_profile_shape():
 
 def test_constant_terms():
     assert theta_eisenstein_series(5, 3).coefficient(0) == 1
+    assert theta_eisenstein_series(13, 0) == QSeries.one(0)
     for level in (5, 7, 13):
         for d in divisors(level):
             c0 = eta_eisenstein_series(level, d, 3).coefficient(0)
@@ -85,7 +86,7 @@ def test_coefficient_routes_agree_exactly():
         ), (level, n)
 
 
-@pytest.mark.parametrize("level", [55, 77])
+@pytest.mark.parametrize("level", [55, 77, 119])
 def test_coefficient_routes_agree_at_composite_levels(level):
     for n in range(1, 201):
         assert eisenstein_coefficient(level, n) == eisenstein_coefficient_factored(
@@ -107,6 +108,25 @@ def test_factored_sweep_reads_signs_from_the_profile(monkeypatch):
         eisenstein_coefficient_factored(35, n)
     assert signs == []
     assert factorized == list(range(1, 601))
+
+
+def _assert_sieve_matches_oracle(level, n_max):
+    coeffs = theta_eisenstein_series(level, n_max).coefficients()
+    assert coeffs[0] == 1 and type(coeffs[0]) is int
+    for n in range(1, n_max + 1):
+        expected = QSeries(0, [eisenstein_coefficient(level, n)], 0).coefficient(0)
+        # value and type (int where integral): the CLI prints each with str
+        assert (coeffs[n], type(coeffs[n])) == (expected, type(expected)), (level, n)
+
+
+def test_sieve_matches_per_n_oracle_at_every_level_to_129():
+    for level in (n for n in range(5, 130) if gcd(n, 6) == 1 and is_squarefree(n)):
+        _assert_sieve_matches_oracle(level, 100)
+
+
+@pytest.mark.parametrize("level", [13, 35])
+def test_sieve_matches_per_n_oracle_at_long_prefixes(level):
+    _assert_sieve_matches_oracle(level, 2000)
 
 
 def test_aggregate_coefficient_matches_series():

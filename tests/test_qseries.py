@@ -311,6 +311,25 @@ def test_eta_chain_extends_to_what_one_pass_gives(k):
         assert len(got) >= stop and got[:stop] == want[:stop], stop
 
 
+@pytest.mark.parametrize("k", [-13, -2, 1, 2, 5, 13])
+def test_eta_chain_continues_a_zero_prefix(monkeypatch, k):
+    # a zero source fills every stage with zeros and runs no stage; a longer
+    # source that turns nonzero after the zeros continues from there
+    rng = random.Random(f"zero-chain-{k}")
+    src = [0] * 80 + random_coefficients(rng, 120, "mixed")
+    want = times_eta_power_pentagonal(QSeries(0, src, len(src) - 1), k).coefficients()
+    chain = EtaChain(k)
+    with monkeypatch.context() as patch:
+        patch.setattr(cphi.qseries, "cube_stage", None)
+        patch.setattr(cphi.qseries, "pentagonal_stage", None)
+        for stop in (30, 80, 50):
+            assert chain.extend(src[:stop])[:stop] == [0] * stop
+        assert all(len(stage) == 80 for stage in chain.stages)
+    for stop in (81, 200, 150):
+        got = chain.extend(src[:stop])
+        assert len(got) >= stop and got[:stop] == want[:stop], stop
+
+
 def test_held_keeps_one_state_per_kind_for_the_most_recent_levels(monkeypatch):
     # the session workload reads seven levels; the least recently used goes first
     assert LEVELS_HELD >= 7

@@ -57,6 +57,23 @@ def test_mul_associative_commutative():
         assert (a * b) * c == a * (b * c)
 
 
+def test_product_matches_the_general_constructor_on_a_grid():
+    # the product of two normal forms skips factoring; the general constructor
+    # re-normalizes coeff * i**m * sqrt(r1 * r2) from scratch
+    coeffs = (Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(10, 9))
+    grid = [QuarterRadical(c, m, r) for c in coeffs for m in range(4)
+            for r in (1, 2, 3, 5, 6, 12, 15, 30, 49, 105, Fraction(7, 18))]
+    for a in grid:
+        for b in grid:
+            want = QuarterRadical(a.coeff * b.coeff, a.i_exp + b.i_exp,
+                                  a.radicand * b.radicand)
+            got = a * b
+            assert (got, tuple(map(type, got))) == (want, tuple(map(type, want))), (a, b)
+        for scalar in (0, -2, Fraction(5, 6)):
+            want = QuarterRadical(a.coeff * scalar, a.i_exp, a.radicand)
+            assert a * scalar == scalar * a == want and type((a * scalar).coeff) is Fraction
+
+
 def test_approx_values():
     re, im = QuarterRadical(1, 1, 3).approx()
     assert re == 0.0
