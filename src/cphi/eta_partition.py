@@ -8,7 +8,6 @@ non-integral x, which is what makes terms like P(n/5) meaningful.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from .arith import check_divides, validate_level
@@ -17,31 +16,17 @@ from .qseries import QSeries, eta_power, pentagonal_stage, pentagonal_terms, tim
 from .radicals import QuarterRadical
 
 
-class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "level d")):
-    """Parameters (N, d) with d | N; the q-power prefix must be integral."""
-
-    __slots__ = ()
-
-    def __new__(cls, level: int, d: int):
-        validate_level(level)
-        check_divides(d, level)
-        if (level**2 - d**2) % (24 * d):
-            raise ValueError(f"(N^2-d^2)/(24d) is not an integer for N={level}, d={d}")
-        return super().__new__(cls, level, d)
-
-    @property
-    def prefix_exponent(self) -> int:
-        return (self.level**2 - self.d**2) // (24 * self.d)
-
-
 def eta_quotient_series(level: int, d: int, n_max: int) -> QSeries:
-    """Exact expansion of eta((N/d)z)^N / eta(dz) through q**n_max.
+    """Exact expansion of eta((N/d)z)^N / eta(dz) through q**n_max, d | N.
 
     Two eta factors applied to 1: (q^(N/d);q^(N/d))^N, then 1/(q^d;q^d),
-    each by times_eta_power with its own d.
+    each by times_eta_power with its own d, shifted by the q-power prefix.
     """
-    spec = EtaQuotientSpec(level, d)
-    prefix = spec.prefix_exponent
+    validate_level(level)
+    check_divides(d, level)
+    prefix, rem = divmod(level**2 - d**2, 24 * d)
+    if rem:
+        raise ValueError(f"(N^2-d^2)/(24d) is not an integer for N={level}, d={d}")
     if prefix > n_max:
         return QSeries.zero(n_max)
     numerator = times_eta_power(QSeries.one(n_max - prefix), level, level // d)

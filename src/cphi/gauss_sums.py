@@ -115,18 +115,15 @@ def gauss_sum_prime_closed(dim: int, a: int, p: int):
     """Closed form for G_dim(a, p), dim >= p - 1.
 
     Returns (value, residual): for dim in {p-1, p} the residual is None and
-    value = i^((p-p^2)/2) (a|p) p^(p/2); for dim > p the same factor
-    multiplies a residual query G_{dim-p}(a, p).
+    value = G_{p-1}(a, p) = i^((p-p^2)/2) (a|p) p^(p/2), gauss_sum_closed at
+    N = d = p; for dim > p the same factor multiplies a residual query
+    G_{dim-p}(a, p).
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"p={p} must be an odd prime")
-    if gcd(a, p) != 1:
-        raise ValueError(f"gcd({a}, {p}) != 1")
+    value = gauss_sum_closed(p, a, p)
     if dim < p - 1:
         raise ValueError(f"closed form needs dimension >= {p - 1}, got {dim}")
-    value = QuarterRadical(
-        kronecker(a, p) * p ** ((p - 1) // 2), ((p - p * p) // 2) % 4, p
-    )
     if dim in (p - 1, p):
         return value, None
     return value, GaussSumQuery(dim - p, a, p)

@@ -84,12 +84,8 @@ class QSeries:
         return cls(0, (), trunc)
 
     @classmethod
-    def constant(cls, c, trunc: int) -> "QSeries":
-        return cls(0, [c] + [0] * trunc, trunc)
-
-    @classmethod
     def one(cls, trunc: int) -> "QSeries":
-        return cls.constant(1, trunc)
+        return cls(0, [1] + [0] * trunc, trunc)
 
     # -- accessors ---------------------------------------------------------
 
@@ -217,18 +213,6 @@ class QSeries:
         if self.is_zero():
             return QSeries.zero(self.trunc + k)
         return QSeries(self.valuation + k, self.coeffs, self.trunc + k)
-
-    def crop(self, trunc: int) -> "QSeries":
-        """Weaken the guarantee to a smaller truncation."""
-        if trunc > self.trunc:
-            raise ValueError("crop cannot extend the guaranteed range")
-        if trunc == self.trunc:
-            return self
-        if self.is_zero() or trunc < self.valuation:
-            return QSeries.zero(trunc)
-        return QSeries(
-            self.valuation, self.coeffs[: trunc - self.valuation + 1], trunc
-        )
 
     # -- serialization -----------------------------------------------------
 

@@ -52,14 +52,6 @@ class QuarterRadical(namedtuple("QuarterRadical", "coeff i_exp radicand")):
         return cls(Fraction(1))
 
     @classmethod
-    def zero(cls) -> "QuarterRadical":
-        return cls(Fraction(0))
-
-    @classmethod
-    def i_power(cls, m: int) -> "QuarterRadical":
-        return cls(Fraction(1), m, 1)
-
-    @classmethod
     def sqrt_of(cls, x) -> "QuarterRadical":
         return cls(Fraction(1), 0, x)
 

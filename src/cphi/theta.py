@@ -199,13 +199,13 @@ def theta_series(level: int, n_max: int) -> QSeries:
     return QSeries(0, theta[: n_max + 1], n_max)
 
 
-@lru_cache(maxsize=LEVELS_HELD)
 def cphi_series(level: int, n_max: int) -> QSeries:
     """Generating series of N-colored generalized Frobenius partition counts.
 
     cphi_N has generating function f_{theta_{N-1}} / (q;q)_infinity^N; the
     coefficients must come out as nonnegative integers.  The quotient is the
-    level's held EtaChain, continued from its first missing coefficient.
+    level's held EtaChain, continued from its first missing coefficient; that
+    store is the only cache, so a repeated call copies the held prefix.
     """
     theta = theta_series(level, n_max).coeffs
     chain = held(level, "cphi", lambda: EtaChain(-level))

@@ -133,12 +133,6 @@ class VerificationReport(NamedTuple):
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str):
-        matches = [c for c in self.checks if c.name == name]
-        if len(matches) != 1:
-            raise KeyError(f"check {name!r} appears {len(matches)} times")
-        return matches[0]
-
     def to_json_dict(self) -> dict:
         ratios, _ = asymptotic_ratios(self.cphi_coeffs, self.main_coeffs)
         return {

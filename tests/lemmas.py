@@ -116,7 +116,7 @@ def reduction_unit(d: int, level: int) -> QuarterRadical:
         acc = acc * QuarterRadical(
             kronecker(d // p, p), ((level - level * p) // 2) % 4, 1
         )
-    return acc * QuarterRadical.i_power(((level * d - level) // 2) % 4)
+    return acc * QuarterRadical(1, ((level * d - level) // 2) % 4)
 
 
 def unit_a(d: int, level: int) -> QuarterRadical:
@@ -131,7 +131,7 @@ def unit_a(d: int, level: int) -> QuarterRadical:
 
 def eisenstein_sign_by_unit(d: int, level: int) -> int:
     """C(d, N) by its definition, the sign s with s * A(d, N) = i^((1-N*d)/2)."""
-    target = QuarterRadical.i_power(((1 - level * d) // 2) % 4)
+    target = QuarterRadical(1, ((1 - level * d) // 2) % 4)
     for sign in (1, -1):
         if sign * unit_a(d, level) == target:
             return sign

@@ -15,7 +15,7 @@ from math import comb, factorial, isqrt, pi
 from cphi.arith import divisors, validate_level
 from cphi.characters import chi, context
 from cphi.eisenstein import eisenstein_profile
-from cphi.eta_partition import EtaQuotientSpec, partition_count
+from cphi.eta_partition import partition_count
 from cphi.gauss_sums import GaussSumQuery, gauss_sum_numeric
 from cphi.qseries import QSeries, euler_coefficients
 from cphi.radicals import QuarterRadical
@@ -39,6 +39,13 @@ def monomial(c, power: int, trunc: int) -> QSeries:
     if power > trunc:
         return QSeries.zero(trunc)
     return QSeries(power, [c] + [0] * (trunc - power), trunc)
+
+
+def crop(series: QSeries, trunc: int) -> QSeries:
+    """series known only through q**trunc <= series.trunc."""
+    if trunc > series.trunc:
+        raise ValueError("crop cannot extend the guaranteed range")
+    return QSeries(series.valuation, series.coefficients()[series.valuation : trunc + 1], trunc)
 
 
 def from_coefficients(seq, trunc: int | None = None, valuation: int = 0) -> QSeries:
@@ -221,20 +228,25 @@ def times_eta_power_pentagonal(series: QSeries, k: int, d: int = 1) -> QSeries:
     return QSeries(series.valuation, c, series.trunc)
 
 
+def prefix_exponent(level: int, d: int) -> int:
+    """(N^2 - d^2) / (24 d), the power of q that the eta quotient starts at."""
+    return (level**2 - d**2) // (24 * d)
+
+
 def eta_quotient_by_product(level: int, d: int, n_max: int) -> QSeries:
     """eta_quotient_series by the series product it used before the residue-class passes.
 
     The numerator (q^(N/d);q^(N/d))^N times 1/(q^d;q^d), both rescaled from
     Miller's recurrence, so that no pentagonal pass is involved.
     """
-    prefix = EtaQuotientSpec(level, d).prefix_exponent
+    prefix = prefix_exponent(level, d)
     if prefix > n_max:
         return QSeries.zero(n_max)
     rest = n_max - prefix
     m = level // d
     numerator = rescale(eta_power_miller(level, rest // m), m)
     denominator_inv = rescale(eta_power_miller(-1, rest // d), d)
-    return (numerator * denominator_inv).crop(rest).shift(prefix)
+    return crop(numerator * denominator_inv, rest).shift(prefix)
 
 
 def scaled_partition_term_fraction(level: int, d: int, n: int) -> int:
@@ -521,12 +533,12 @@ def residual_by_partition_side(level: int, n_max: int) -> QSeries:
     series product.
     """
     main = main_term_series(level, n_max)
-    return theta_series(level, n_max) - (eta_power_miller(level, n_max) * main).crop(n_max)
+    return theta_series(level, n_max) - crop(eta_power_miller(level, n_max) * main, n_max)
 
 
 def correction_series_by_division(level: int, n_max: int) -> QSeries:
     """b = C / (q;q)^N, with C from the partition-side route, by one series product."""
-    return (residual_by_partition_side(level, n_max) * eta_power_miller(-level, n_max)).crop(n_max)
+    return crop(residual_by_partition_side(level, n_max) * eta_power_miller(-level, n_max), n_max)
 
 
 def theta_residue_counts_mod_2c(dim: int, modulus: int) -> tuple:

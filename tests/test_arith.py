@@ -11,11 +11,7 @@ from cphi.arith import (
     validate_level,
 )
 from cphi.characters import sigma_twisted
-from cphi.eta_partition import (
-    EtaQuotientSpec,
-    eta_cusp_constant,
-    scaled_partition_term,
-)
+from cphi.eta_partition import eta_cusp_constant, eta_quotient_series, scaled_partition_term
 from cphi.gauss_sums import gauss_sum_closed
 from cphi.theta import theta_cusp_constant
 from lemmas import cusp_vanishing_order, reduction_unit, unit_a
@@ -72,7 +68,7 @@ def test_factorize_refuses_cofactor_beyond_trial_division():
 DIVISOR_SITES = {
     "unit_a": ("d", lambda d: unit_a(d, 5)),
     "sigma_twisted": ("d", lambda d: sigma_twisted(1, 5, d, 1)),
-    "EtaQuotientSpec": ("d", lambda d: EtaQuotientSpec(5, d)),
+    "eta_quotient_series": ("d", lambda d: eta_quotient_series(5, d, 1)),
     "cusp_vanishing_order": ("d", lambda d: cusp_vanishing_order(5, d, 1)),
     "cusp_vanishing_order-c": ("c", lambda c: cusp_vanishing_order(5, 5, c)),
     "eta_cusp_constant": ("d", lambda d: eta_cusp_constant(5, d)),

@@ -76,12 +76,12 @@ def test_epsilon_values_and_identity():
         epsilon_c(4)
     # epsilon_p = i^((1-p)/2) ((p+1)/2 | p) for odd primes
     for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        rhs = QuarterRadical.i_power(((1 - p) // 2) % 4) * kronecker((p + 1) // 2, p)
+        rhs = QuarterRadical(1, ((1 - p) // 2) % 4) * kronecker((p + 1) // 2, p)
         assert epsilon_c(p) == rhs, p
 
 
 def test_unit_a_case_table():
-    i = QuarterRadical.i_power(1)
+    i = QuarterRadical(1, 1)
     one = QuarterRadical.one()
     # four cases by (d mod 4, N mod 4)
     assert unit_a(1, 5) == one

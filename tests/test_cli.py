@@ -301,7 +301,9 @@ VERIFY_CSV = [
 
 # the exact-value printers no other digest reaches: JSON ratios that skip zero
 # main terms (N=35), non-integral [num, den] coefficient pairs, a valuation of
-# 10, and a bernoulli value that is an integral Fraction (-1) and one that is not
+# 10, a bernoulli value that is an integral Fraction (-1) and one that is not,
+# the zero series of an eta quotient whose prefix q^51 lies past nMax, and the
+# partition side of one divisor d
 EXACT_VALUES = [
     ("verify --N 35 --nmax 68 --format json", 0, "71c1dc259e22550b774e6c4380d912f48963e3615a7741de67d64027883230ad"),
     ("verify --N 35 --nmax 200 --format json", 0, "768d8f909e90b2dd70a0c9c50de99d4fc677e07b319eece044b60f362c422be7"),
@@ -309,6 +311,8 @@ EXACT_VALUES = [
     ("expand --series eta --N 35 --d 5 --nmax 40 --format json", 0, "a48cab9d083e261ae56764d37682b777535f0098746db9d642db9d67fe8cccf8"),
     ("bernoulli --k 1 --N 7", 0, "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28"),
     ("bernoulli --k 1 --N 3", 0, "826dba0111f40680f3a76d942186657237e9a2da9f94ced0aa528323a382d9ed"),
+    ("expand --series eta --N 35 --d 1 --nmax 3 --format json", 0, "be7878b11fcfb4b3fa9ad2cb8288663b4a07781ebb8e6b1e86bec3a65600aa92"),
+    ("expand --series partition --N 35 --d 5 --nmax 40", 0, "bc821292b7052df4ff22df681f625e63fcc9c004d2d1366780d32b05ddd7413b"),
 ]
 
 
@@ -471,7 +475,8 @@ def test_csv_without_a_table_prints_the_text(capsys, line):
 
 
 # Runs command lines through cli.main under sys.setprofile and prints the
-# public module-level functions of cphi.* that no call entered.  A fresh
+# public module-level functions of cphi.*, and the public methods,
+# classmethods and properties of its classes, that no call entered.  A fresh
 # interpreter starts every lru_cache cold, so a cached function is entered too.
 UNREACHED_SCRIPT = """
 import contextlib, importlib, inspect, io, json, pkgutil, shlex, sys
@@ -483,14 +488,24 @@ with contextlib.redirect_stdout(io.StringIO()):
     for line in json.loads(sys.argv[1]):
         main(shlex.split(line))
 sys.setprofile(None)
+
+def code(value):
+    value = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+    value = inspect.unwrap(value) if callable(value) else None
+    return value.__code__ if inspect.isfunction(value) else None
+
 unreached = []
 for info in pkgutil.iter_modules(cphi.__path__):
     module = importlib.import_module("cphi." + info.name)
     for name, value in vars(module).items():
-        func = inspect.unwrap(value) if callable(value) else None
-        if (not name.startswith("_") and inspect.isfunction(func)
-                and func.__module__ == module.__name__ and func.__code__ not in entered):
-            unreached.append(module.__name__ + "." + name)
+        if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+            continue
+        members = [(name, value)]
+        if inspect.isclass(value):
+            members = [(name + "." + attr, member) for attr, member in vars(value).items()
+                       if not attr.startswith("_")]
+        unreached += [module.__name__ + "." + qualname for qualname, member in members
+                      if code(member) is not None and code(member) not in entered]
 print(json.dumps(unreached))
 """
 
@@ -504,18 +519,24 @@ def _load(path: Path):
 
 def test_every_public_function_is_reached_by_the_pinned_command_lines():
     # code that only tests call belongs in tests/ (oracles.py, lemmas.py); exempt
-    # are the names perfbench/ pins (its tracer's FUNCTIONS and the cphi functions
-    # a session query calls) and the [project.scripts] entry point
+    # are the names perfbench/ pins (its tracer's FUNCTIONS and METHODS, the cphi
+    # functions and the attributes a session query reads) and the
+    # [project.scripts] entry point
     lines = [line for line, _, _ in README_EXAMPLES + VERIFY_CSV + EXACT_VALUES]
     proc = run_python("-c", UNREACHED_SCRIPT, json.dumps(lines))
     assert proc.returncode == 0, proc.stderr
-    traced = set(_load(ROOT / "perfbench" / "tracer.py").FUNCTIONS.values())
+    tracer = _load(ROOT / "perfbench" / "tracer.py")
+    traced = set(tracer.FUNCTIONS.values()) | {
+        (f"{module}.{cls}", method) for module, cls, methods in tracer.METHODS.values()
+        for method in methods}
     queried = [set(query.__code__.co_names) for query in _load(ROOT / "perfbench" / "session.py").QUERIES.values()]
     scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
 
     def pinned(name):
-        module, attr = name.rsplit(".", 1)
-        return ((module, attr) in traced or f'"{module}:{attr}"' in scripts
-                or any({module.rsplit(".", 1)[1], attr} <= names for names in queried))
+        owner, attr = name.rsplit(".", 1)
+        if owner.count(".") > 1:  # cphi.module.Class: a method
+            return (owner, attr) in traced or any(attr in names for names in queried)
+        return ((owner, attr) in traced or f'"{owner}:{attr}"' in scripts
+                or any({owner.rsplit(".", 1)[1], attr} <= names for names in queried))
 
     assert [name for name in json.loads(proc.stdout) if not pinned(name)] == []

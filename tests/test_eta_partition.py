@@ -6,7 +6,6 @@ import cphi.qseries
 from cphi import eta_partition
 from cphi.arith import divisors
 from cphi.eta_partition import (
-    EtaQuotientSpec,
     eta_cusp_constant,
     eta_quotient_series,
     main_term,
@@ -20,37 +19,46 @@ from cphi.radicals import QuarterRadical
 from cphi.verify import main_term_series
 from lemmas import cusp_vanishing_order
 from oracles import (
+    crop,
     eta_power_miller,
     eta_quotient_by_product,
     euler_product,
     multi_partition_sigma_route,
     partitions_brute,
+    prefix_exponent,
     rescale,
     scaled_partition_term_fraction,
     u_operator,
 )
 
 
-def test_spec_prefix_exponents():
-    assert EtaQuotientSpec(5, 5).prefix_exponent == 0
-    assert EtaQuotientSpec(5, 1).prefix_exponent == 1
-    assert EtaQuotientSpec(35, 5).prefix_exponent == 10
-    with pytest.raises(ValueError):
-        EtaQuotientSpec(5, 2)
+def test_spec_prefix_exponents(monkeypatch):
+    # the series starts at its prefix, or is zero through a shorter nMax
+    assert eta_quotient_series(5, 5, 3).order() == 0
+    assert eta_quotient_series(5, 1, 3).order() == 1
+    assert eta_quotient_series(35, 5, 12).order() == 10
+    assert eta_quotient_series(35, 5, 9).is_zero()
+    assert eta_quotient_series(35, 1, 50) == QSeries(0, (), 50)
+    for level, d, message in ((5, 2, "^d=2 does not divide N=5$"), (6, 1, "^N=6: must be coprime to 6$")):
+        with pytest.raises(ValueError, match=message):
+            eta_quotient_series(level, d, 3)
+    # N coprime to 6 makes the prefix integral (N = dm: it is d(m^2 - 1)/24, and
+    # 24 | m^2 - 1), so only a level that skips validation reaches the refusal
+    monkeypatch.setattr(eta_partition, "validate_level", lambda level: None)
+    with pytest.raises(ValueError, match=r"^\(N\^2-d\^2\)/\(24d\) is not an integer for N=2, d=1$"):
+        eta_quotient_series(2, 1, 3)
 
 
 def test_eta_quotient_small_cases():
     # d = N: (q;q)^N / (q^N;q^N), constant term 1
     s = eta_quotient_series(5, 5, 30)
-    expected = (euler_product(30).pow(5) * rescale(euler_product(6).inverse(), 5)).crop(30)
+    expected = crop(euler_product(30).pow(5) * rescale(euler_product(6).inverse(), 5), 30)
     assert s == expected
     assert s.coefficient(0) == 1
     # d = 1: prefix q, numerator (q^5;q^5)^5, denominator (q;q)
     s = eta_quotient_series(5, 1, 30)
     assert s.order() == 1
-    expected = (
-        rescale(euler_product(5).pow(5), 5) * euler_product(29).inverse()
-    ).crop(29).shift(1)
+    expected = crop(rescale(euler_product(5).pow(5), 5) * euler_product(29).inverse(), 29).shift(1)
     assert s == expected
 
 
@@ -63,7 +71,7 @@ def test_eta_quotient_identity_at_d_equals_level():
             [partition_count(Fraction(n, level)) for n in range(41)],
             40,
         )
-        rhs = (euler_product(40).pow(level) * partition_side).crop(40)
+        rhs = crop(euler_product(40).pow(level) * partition_side, 40)
         assert lhs == rhs, level
 
 
@@ -72,7 +80,7 @@ def test_eta_quotient_matches_product_route(level):
     # n_max = prefix - 1 is the zero series; below prefix + d - 1 some residue
     # classes mod d are empty
     for d in divisors(level):
-        prefix = EtaQuotientSpec(level, d).prefix_exponent
+        prefix = prefix_exponent(level, d)
         for n_max in [*range(max(prefix - 1, 0), prefix + d + 3), 300]:
             expected = eta_quotient_by_product(level, d, n_max)
             assert eta_quotient_series(level, d, n_max) == expected, (level, d, n_max)
@@ -81,9 +89,8 @@ def test_eta_quotient_matches_product_route(level):
 def test_leading_power_equals_prefix():
     for level in (5, 7, 13, 35):
         for d in divisors(level):
-            spec = EtaQuotientSpec(level, d)
-            series = eta_quotient_series(level, d, spec.prefix_exponent + 12)
-            assert series.order() == spec.prefix_exponent, (level, d)
+            prefix = prefix_exponent(level, d)
+            assert eta_quotient_series(level, d, prefix + 12).order() == prefix, (level, d)
 
 
 def test_u_operator_on_eta_quotient_gives_partition_series():
@@ -102,7 +109,7 @@ def test_u_operator_on_eta_quotient_gives_partition_series():
                 ],
                 n_check,
             )
-            rhs = (euler_product(n_check).pow(level) * partition_side).crop(n_check)
+            rhs = crop(euler_product(n_check).pow(level) * partition_side, n_check)
             assert lhs == rhs, (level, d)
 
 
@@ -127,7 +134,7 @@ def test_eta_cusp_constants():
     # nonzero at its own cusp 1/d (it vanishes at the others: test_vanishing_orders)
     for level in (5, 7, 35):
         for d in divisors(level):
-            assert eta_cusp_constant(level, d) != QuarterRadical.zero(), (level, d)
+            assert eta_cusp_constant(level, d) != QuarterRadical(0), (level, d)
 
 
 def test_partition_convention():

@@ -24,6 +24,7 @@ from cphi.theta import theta_series
 from cphi.verify import main_term_series
 from oracles import (
     convolve_schoolbook,
+    crop,
     cube_pass,
     eta_pass,
     pentagonal_lists,
@@ -209,7 +210,7 @@ def test_times_eta_power_property():
     @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @hypothesis.given(series(), st.integers(-6, 6))
     def check(s, k):
-        assert times_eta_power(s, k) == (s * eta_power_miller(k, s.trunc)).crop(s.trunc)
+        assert times_eta_power(s, k) == crop(s * eta_power_miller(k, s.trunc), s.trunc)
         assert times_eta_power(times_eta_power(s, k), -k) == s
 
     check()
@@ -234,7 +235,7 @@ def test_times_eta_power_residue_classes(d):
     for s in residue_class_cases():
         for k in range(-7, 8):
             n = s.trunc
-            expected = (s * rescale(eta_power_miller(k, n // d), d)).crop(n)
+            expected = crop(s * rescale(eta_power_miller(k, n // d), d), n)
             got = times_eta_power(s, k, d)
             assert got.trunc == n and got == expected, (s, k, d)
 
@@ -388,8 +389,8 @@ def test_inverse_simple_cases():
     assert from_coefficients([1, -1], trunc=6).inverse() == QSeries(
         0, [1] * 7, 6
     )
-    half = QSeries.constant(2, 4).inverse()
-    assert half == QSeries.constant(Fraction(1, 2), 4)
+    half = QSeries(0, [2, 0, 0, 0, 0], 4).inverse()
+    assert half == QSeries(0, [Fraction(1, 2), 0, 0, 0, 0], 4)
 
 
 def test_inverse_rejects_zero_constant_term():
@@ -407,7 +408,7 @@ def test_inverse_of_random_unit_series():
             s = s + QSeries.one(24)
         if s.coefficient(0) == 0:
             continue
-        assert (s * s.inverse()).crop(24) == QSeries.one(24)
+        assert crop(s * s.inverse(), 24) == QSeries.one(24)
 
 
 def test_ring_axioms_random():

@@ -46,7 +46,7 @@ def test_normalization_idempotent():
 def test_zero_normal_form():
     z = QuarterRadical(0, 3, 7)
     assert (z.coeff, z.i_exp, z.radicand) == (0, 0, 1)
-    assert z == QuarterRadical.zero()
+    assert z == QuarterRadical(0)
 
 
 def test_mul_associative_commutative():

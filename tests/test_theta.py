@@ -247,7 +247,7 @@ def test_theta_cusp_constant_two_routes():
         for d in divisors(level):
             k = (level - 1) // 2
             route2 = (
-                QuarterRadical.i_power((3 * k) % 4)  # (-i)^k
+                QuarterRadical(1, (3 * k) % 4)  # (-i)^k
                 * Fraction(1, d**k)
                 * gauss_sum_closed(level, 1, d)
                 * QuarterRadical(Fraction(1, level), 0, level)  # 1/sqrt(N)

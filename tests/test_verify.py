@@ -39,6 +39,12 @@ from oracles import (
 )
 
 
+def named_check(report, name):
+    """The one check of the report with this name."""
+    (result,) = [c for c in report.checks if c.name == name]
+    return result
+
+
 def test_sturm_bounds():
     assert sturm_bound(5) == 1
     assert sturm_bound(7) == 2
@@ -146,7 +152,7 @@ def test_asymptotic_trend_can_fail(monkeypatch):
     level, n_max = 13, 200
     main = main_term_series(level, n_max)
     report = run_verification(level, n_max)
-    assert report.check("asymptotic-trend").passed
+    assert named_check(report, "asymptotic-trend").passed
     # doubling cphi(nMax) puts r(nMax) at 2, farther from 1 than r(50)
     monkeypatch.setattr(cphi.verify, "cphi_series", lambda level, n_max: main + monomial(
         main.coefficient(n_max), n_max, n_max))
@@ -221,15 +227,15 @@ def test_only_json_reports_build_the_ratio_table(monkeypatch):
 def test_report_levels_13_expectations():
     report = run_verification(13, 60)
     assert report.all_passed
-    assert report.check("b1-value").passed
-    assert report.check("cwy13-eta-series").passed
-    assert report.check("residual-nonzero").passed
+    assert named_check(report, "b1-value").passed
+    assert named_check(report, "cwy13-eta-series").passed
+    assert named_check(report, "residual-nonzero").passed
 
 
 def test_report_level1():
     report = run_verification(1, 30)
     assert report.all_passed
-    assert report.check("residual-vanishes").passed
+    assert named_check(report, "residual-vanishes").passed
 
 
 def test_run_verification_rejects_bad_levels():
@@ -270,8 +276,8 @@ def test_cphi_and_residual_match_product_routes(level, n_max):
 
 
 def clear_series_caches():
-    for cached in (theta_series, cphi_series, main_term_series, residual_series,
-                   correction_series, eta13_series):
+    for cached in (theta_series, main_term_series, residual_series, correction_series,
+                   eta13_series):
         cached.cache_clear()
     cphi.qseries._STORES.clear()
 
@@ -424,17 +430,17 @@ def test_residual_checks_fail_on_nonzero_residual(monkeypatch):
         cphi.verify, "residual_series", lambda level, n_max: monomial(1, 3, n_max)
     )
     report = run_verification(5, 20)
-    check = report.check("residual-vanishes")
+    check = named_check(report, "residual-vanishes")
     assert not check.passed
     assert check.detail == "residual has a nonzero coefficient at n=3"
     assert not report.all_passed
 
 
 def test_sturm_coverage_fail_wording():
-    check = run_verification(35, 20).check("sturm-coverage")
+    check = named_check(run_verification(35, 20), "sturm-coverage")
     assert not check.passed
     assert check.detail == "nMax=20 is below Sturm bound 68"
-    assert run_verification(35, 68).check("sturm-coverage").detail == (
+    assert named_check(run_verification(35, 68), "sturm-coverage").detail == (
         "nMax=68 covers Sturm bound 68"
     )
 
@@ -444,7 +450,7 @@ def test_composite_level_passes_at_its_sturm_bound(level, bound):
     # the paper's new case: squarefree composite N, run as far as its Sturm bound
     assert sturm_bound(level) == bound
     report = run_verification(level, bound)
-    assert report.check("sturm-coverage").passed
+    assert named_check(report, "sturm-coverage").passed
     assert report.all_passed, [c.name for c in report.checks if not c.passed]
 
 
@@ -508,10 +514,10 @@ def fresh_series_caches():
 @pytest.mark.parametrize("name", sorted(CHECK_MUTATIONS))
 def test_every_check_can_fail(monkeypatch, fresh_series_caches, name):
     level, n_max, target, wrap = CHECK_MUTATIONS[name]
-    assert run_verification(level, n_max).check(name).passed
+    assert named_check(run_verification(level, n_max), name).passed
     monkeypatch.setattr(cphi.verify, target, wrap(getattr(cphi.verify, target)))
     report = run_verification(level, n_max)
-    assert not report.check(name).passed
+    assert not named_check(report, name).passed
     assert not report.all_passed
     assert report.to_text().endswith("  overall: FAIL")
 
